@@ -41,7 +41,6 @@ from .model import (
     ActivationRule,
     CoalitionSpec,
     GameInstance,
-    Rational,
     ValidationReport,
     validate_instance,
 )
@@ -50,7 +49,6 @@ from .payoffs import (
     active_coalitions,
     is_active,
     payoff_vector,
-    player_payoff,
     profile_payoffs,
 )
 from .stability import (
@@ -81,7 +79,6 @@ __all__ = [
     "OverlappingCoalitionsError",
     "PayoffMatrix",
     "PayoffVector",
-    "Rational",
     "ReachableDeviation",
     "RestrictedEquilibriaReport",
     "SCHEMA",
@@ -106,7 +103,6 @@ __all__ = [
     "load_instance",
     "load_instance_file",
     "payoff_vector",
-    "player_payoff",
     "profile_payoffs",
     "random_instance",
     "regret_vectors",

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 from .compromise import PayoffMatrix, compromise_solution, regret_vectors
@@ -31,10 +30,6 @@ from .stability import (
     is_stable,
     restricted_equilibria,
 )
-
-
-def _fmt(value: Fraction) -> str:
-    return str(value)
 
 
 def _load(name: str, strict: bool) -> GameInstance:
@@ -68,6 +63,38 @@ def _table(rows: list[list[str]]) -> str:
     )
 
 
+def _emit(fmt: str, record: dict, grid, text) -> None:
+    """Print a command's record: as JSON, as CSV over grid(record), or as
+    the table text(record).  The record is already 1-based, with every
+    fraction a string, so no format converts engine values again."""
+    if fmt == "json":
+        print(json.dumps(record, indent=2))
+    elif fmt == "csv":
+        header, *rows = grid(record)
+        print(to_csv(header, rows).rstrip("\n"))
+    else:
+        print(text(record))
+
+
+def _profile_grid(rows: list[list[str]], n: int, extra=()) -> list[list[str]]:
+    """Header plus one line per profile, shared by the CSV and the table."""
+    header = ["profile"] + [f"p{p + 1}" for p in range(n)] + list(extra)
+    return [header] + [[str(k + 1)] + row for k, row in enumerate(rows)]
+
+
+def _witness(w) -> dict:
+    return {
+        "player": w.player + 1,
+        "removed_arcs": _arcs_1based(w.removed_arcs),
+        "gain": str(w.gain),
+    }
+
+
+def _witness_text(w: dict) -> str:
+    arcs = " ".join(f"({i},{j})" for i, j in w["removed_arcs"])
+    return f"player {w['player']} removes {arcs} and gains {w['gain']}"
+
+
 # ---- form
 
 
@@ -83,45 +110,41 @@ def _profile_networks(instance: GameInstance, which: int | None) -> list[tuple[i
     return [(which - 1, form_network(instance.profiles[which - 1]))]
 
 
+def _form_grid(record: dict) -> list[list]:
+    rows = [[p["profile"], i, j] for p in record["profiles"] for i, j in p["arcs"]]
+    return [["profile", "from", "to"]] + rows
+
+
+def _form_text(record: dict) -> str:
+    return "\n\n".join(
+        "\n".join([f"profile {p['profile']}"] + [" ".join(map(str, row)) for row in p["matrix"]])
+        for p in record["profiles"]
+    )
+
+
 def cmd_form(args) -> int:
     instance = _load(args.instance, args.strict)
-    formed = _profile_networks(instance, args.profile)
-    if args.format == "json":
-        payload = {
-            "profiles": [
-                {
-                    "profile": k + 1,
-                    "matrix": [list(row) for row in net.matrix()],
-                    "arcs": _arcs_1based(net.arcs),
-                }
-                for k, net in formed
-            ]
-        }
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        rows = [
-            (k + 1, i + 1, j + 1)
-            for k, net in formed
-            for i, j in sorted(net.arcs)
+    record = {
+        "profiles": [
+            {
+                "profile": k + 1,
+                "matrix": [list(row) for row in net.matrix()],
+                "arcs": _arcs_1based(net.arcs),
+            }
+            for k, net in _profile_networks(instance, args.profile)
         ]
-        print(to_csv(["profile", "from", "to"], rows).rstrip("\n"))
-    else:
-        blocks = []
-        for k, net in formed:
-            lines = [f"profile {k + 1}"]
-            lines += [" ".join(str(v) for v in row) for row in net.matrix()]
-            blocks.append("\n".join(lines))
-        print("\n\n".join(blocks))
+    }
+    _emit(args.format, record, _form_grid, _form_text)
     return 0
 
 
 # ---- payoffs
 
 
-def _payoff_worker(payload) -> tuple[Fraction, ...]:
-    instance, index, rule_value = payload
-    rule = ActivationRule(rule_value)
-    return payoff_vector(instance, form_network(instance.profiles[index]), rule)
+def _profile_worker(payload):
+    """One engine call (payoff_vector or is_stable) on a stored profile's network."""
+    engine, instance, index, rule = payload
+    return engine(instance, form_network(instance.profiles[index]), rule)
 
 
 def _map_jobs(worker, payloads, jobs: int):
@@ -131,157 +154,134 @@ def _map_jobs(worker, payloads, jobs: int):
     return [worker(p) for p in payloads]
 
 
+def _payoffs_text(record: dict, grid: list[list[str]]) -> str:
+    lines = [f"rule: {record['rule']}", _table(grid)]
+    if record["reference_mismatches"]:
+        lines += ["", "reference table disagreements:"]
+        lines += [
+            f"  profile {m['profile']} player {m['player']}: "
+            f"computed {m['computed']}, reference {m['reference']}"
+            for m in record["reference_mismatches"]
+        ]
+    return "\n".join(lines)
+
+
 def cmd_payoffs(args) -> int:
     instance = _load(args.instance, args.strict)
     rule = _rule(instance, args)
-    payloads = [(instance, k, rule.value) for k in range(len(instance.profiles))]
-    vectors = _map_jobs(_payoff_worker, payloads, args.jobs)
-    mismatches = []
-    if instance.payoff_matrix is not None:
-        for k, vec in enumerate(vectors):
-            for p, value in enumerate(vec):
-                if k < len(instance.payoff_matrix) and value != instance.payoff_matrix[k][p]:
-                    mismatches.append((k, p, value, instance.payoff_matrix[k][p]))
-    if args.format == "json":
-        payload = {
-            "rule": rule.value,
-            "payoffs": [[_fmt(v) for v in vec] for vec in vectors],
-            "reference_mismatches": [
-                {
-                    "profile": k + 1,
-                    "player": p + 1,
-                    "computed": _fmt(computed),
-                    "reference": _fmt(reference),
-                }
-                for k, p, computed, reference in mismatches
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        rows = [
-            [k + 1] + [_fmt(v) for v in vec] for k, vec in enumerate(vectors)
-        ]
-        header = ["profile"] + [f"p{p + 1}" for p in range(instance.n)]
-        print(to_csv(header, rows).rstrip("\n"))
-    else:
-        rows = [["profile"] + [f"p{p + 1}" for p in range(instance.n)]]
-        rows += [
-            [str(k + 1)] + [_fmt(v) for v in vec] for k, vec in enumerate(vectors)
-        ]
-        out = [f"rule: {rule.value}", _table(rows)]
-        if mismatches:
-            out.append("")
-            out.append("reference table disagreements:")
-            for k, p, computed, reference in mismatches:
-                out.append(
-                    f"  profile {k + 1} player {p + 1}: "
-                    f"computed {_fmt(computed)}, reference {_fmt(reference)}"
-                )
-        print("\n".join(out))
+    payloads = [(payoff_vector, instance, k, rule) for k in range(len(instance.profiles))]
+    vectors = _map_jobs(_profile_worker, payloads, args.jobs)
+    record = {
+        "rule": rule.value,
+        "payoffs": [[str(v) for v in vec] for vec in vectors],
+        "reference_mismatches": [
+            {"profile": k + 1, "player": p + 1, "computed": str(value), "reference": str(ref[p])}
+            for k, (vec, ref) in enumerate(zip(vectors, instance.payoff_matrix or ()))
+            for p, value in enumerate(vec)
+            if value != ref[p]
+        ],
+    }
+
+    def grid(r):
+        return _profile_grid(r["payoffs"], instance.n)
+
+    _emit(args.format, record, grid, lambda r: _payoffs_text(r, grid(r)))
     return 0
 
 
 # ---- equilibria
 
 
-def _stability_worker(payload):
-    instance, index, rule_value = payload
-    rule = ActivationRule(rule_value)
-    net = form_network(instance.profiles[index])
-    return is_stable(instance, net, rule)
+def _restricted_grid(record: dict) -> list[list]:
+    return [["source", "target", "player", "gain"]] + [
+        [d["source"], d["target"], d["player"], d["gain"]] for d in record["deviations"]
+    ]
+
+
+def _restricted_text(record: dict) -> str:
+    lines = [
+        f"rule: {record['rule']}",
+        "equilibria: " + " ".join(map(str, record["equilibria"])),
+    ]
+    lines += [
+        f"profile {d['source']} -> profile {d['target']}: player {d['player']} gains {d['gain']}"
+        for d in record["deviations"]
+    ]
+    return "\n".join(lines)
+
+
+def _full_grid(record: dict) -> list[list]:
+    rows = [["profile", "verdict", "player", "removed", "gain"]]
+    for item in record["profiles"]:
+        if item["stable"]:
+            rows.append([item["profile"], "stable", "", "", ""])
+        else:
+            w = item["witness"]
+            arcs = ";".join(f"{i}-{j}" for i, j in w["removed_arcs"])
+            rows.append([item["profile"], "unstable", w["player"], arcs, w["gain"]])
+    return rows
+
+
+def _full_text(record: dict) -> str:
+    lines = [f"rule: {record['rule']}"]
+    for item in record["profiles"]:
+        verdict = "stable" if item["stable"] else "unstable, " + _witness_text(item["witness"])
+        lines.append(f"profile {item['profile']}: {verdict}")
+    return "\n".join(lines)
 
 
 def cmd_equilibria(args) -> int:
     instance = _load(args.instance, args.strict)
     rule = _rule(instance, args)
-    failed = False
     if args.mode == "restricted":
         if not instance.profiles:
             raise ValueError("restricted mode needs stored profiles")
         report = restricted_equilibria(instance, rule)
         failed = len(report.equilibria) < len(instance.profiles)
-        if args.format == "json":
-            payload = {
-                "mode": "restricted",
-                "rule": rule.value,
-                "equilibria": [s + 1 for s in report.equilibria],
-                "deviations": [
-                    {
-                        "source": d.source + 1,
-                        "target": d.target + 1,
-                        "player": d.player + 1,
-                        "gain": _fmt(d.gain),
-                    }
-                    for d in report.deviations
-                ],
-            }
-            print(json.dumps(payload, indent=2))
-        elif args.format == "csv":
-            rows = [
-                [d.source + 1, d.target + 1, d.player + 1, _fmt(d.gain)]
+        record = {
+            "mode": "restricted",
+            "rule": rule.value,
+            "equilibria": [s + 1 for s in report.equilibria],
+            "deviations": [
+                {
+                    "source": d.source + 1,
+                    "target": d.target + 1,
+                    "player": d.player + 1,
+                    "gain": str(d.gain),
+                }
                 for d in report.deviations
-            ]
-            print(to_csv(["source", "target", "player", "gain"], rows).rstrip("\n"))
-        else:
-            lines = [
-                f"rule: {rule.value}",
-                "equilibria: " + " ".join(str(s + 1) for s in report.equilibria),
-            ]
-            for d in report.deviations:
-                lines.append(
-                    f"profile {d.source + 1} -> profile {d.target + 1}: "
-                    f"player {d.player + 1} gains {_fmt(d.gain)}"
-                )
-            print("\n".join(lines))
+            ],
+        }
+        _emit(args.format, record, _restricted_grid, _restricted_text)
     else:
-        payloads = [(instance, k, rule.value) for k in range(len(instance.profiles))]
-        reports = _map_jobs(_stability_worker, payloads, args.jobs)
+        payloads = [(is_stable, instance, k, rule) for k in range(len(instance.profiles))]
+        reports = _map_jobs(_profile_worker, payloads, args.jobs)
         failed = any(not r.stable for r in reports)
-        if args.format == "json":
-            items = []
-            for k, rep in enumerate(reports):
-                item = {"profile": k + 1, "stable": rep.stable}
-                if rep.witness is not None:
-                    item["witness"] = {
-                        "player": rep.witness.player + 1,
-                        "removed_arcs": _arcs_1based(rep.witness.removed_arcs),
-                        "gain": _fmt(rep.witness.gain),
-                    }
-                items.append(item)
-            print(json.dumps({"mode": "full", "rule": rule.value, "profiles": items}, indent=2))
-        elif args.format == "csv":
-            rows = []
-            for k, rep in enumerate(reports):
-                if rep.witness is None:
-                    rows.append([k + 1, "stable", "", "", ""])
-                else:
-                    arcs = ";".join(
-                        f"{i + 1}-{j + 1}" for i, j in rep.witness.removed_arcs
-                    )
-                    rows.append(
-                        [k + 1, "unstable", rep.witness.player + 1, arcs, _fmt(rep.witness.gain)]
-                    )
-            print(to_csv(["profile", "verdict", "player", "removed", "gain"], rows).rstrip("\n"),
-            )
-        else:
-            lines = [f"rule: {rule.value}"]
-            for k, rep in enumerate(reports):
-                if rep.stable:
-                    lines.append(f"profile {k + 1}: stable")
-                else:
-                    w = rep.witness
-                    arcs = " ".join(f"({i + 1},{j + 1})" for i, j in w.removed_arcs)
-                    lines.append(
-                        f"profile {k + 1}: unstable, player {w.player + 1} "
-                        f"removes {arcs} and gains {_fmt(w.gain)}"
-                    )
-            print("\n".join(lines))
+        items = []
+        for k, rep in enumerate(reports):
+            item = {"profile": k + 1, "stable": rep.stable}
+            if not rep.stable:
+                item["witness"] = _witness(rep.witness)
+            items.append(item)
+        record = {"mode": "full", "rule": rule.value, "profiles": items}
+        _emit(args.format, record, _full_grid, _full_text)
     if args.assert_stable and failed:
         return 1
     return 0
 
 
 # ---- compromise
+
+
+def _compromise_text(record: dict, grid: list[list[str]]) -> str:
+    return "\n".join([
+        f"source: {record['source']}",
+        f"rule: {record['rule']}",
+        "ideal: " + " ".join(record["ideal"]),
+        _table(grid),
+        f"value: {record['value']}",
+        "solutions: " + " ".join(map(str, record["solutions"])),
+    ])
 
 
 def cmd_compromise(args) -> int:
@@ -303,43 +303,34 @@ def cmd_compromise(args) -> int:
     shown = (
         regret_vectors(matrix, ascending=True) if args.sorted else report.regrets
     )
-    if args.format == "json":
-        payload = {
-            "source": args.source,
-            "rule": rule.value,
-            "ideal": [_fmt(v) for v in report.ideal],
-            "regrets": [[_fmt(v) for v in row] for row in shown],
-            "row_max": [_fmt(v) for v in report.row_max],
-            "value": _fmt(report.value),
-            "solutions": [s + 1 for s in report.solutions],
-        }
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        header = ["profile"] + [f"p{p + 1}" for p in range(matrix.n_players)] + ["max"]
-        rows_out = [
-            [k + 1] + [_fmt(v) for v in row] + [_fmt(report.row_max[k])]
-            for k, row in enumerate(shown)
-        ]
-        print(to_csv(header, rows_out).rstrip("\n"))
-    else:
-        lines = [
-            f"source: {args.source}",
-            f"rule: {rule.value}",
-            "ideal: " + " ".join(_fmt(v) for v in report.ideal),
-        ]
-        rows_t = [["profile"] + [f"p{p + 1}" for p in range(matrix.n_players)] + ["max"]]
-        rows_t += [
-            [str(k + 1)] + [_fmt(v) for v in row] + [_fmt(report.row_max[k])]
-            for k, row in enumerate(shown)
-        ]
-        lines.append(_table(rows_t))
-        lines.append(f"value: {_fmt(report.value)}")
-        lines.append("solutions: " + " ".join(str(s + 1) for s in report.solutions))
-        print("\n".join(lines))
+    record = {
+        "source": args.source,
+        "rule": rule.value,
+        "ideal": [str(v) for v in report.ideal],
+        "regrets": [[str(v) for v in row] for row in shown],
+        "row_max": [str(v) for v in report.row_max],
+        "value": str(report.value),
+        "solutions": [s + 1 for s in report.solutions],
+    }
+
+    def grid(r):
+        rows = [row + [top] for row, top in zip(r["regrets"], r["row_max"])]
+        return _profile_grid(rows, matrix.n_players, ("max",))
+
+    _emit(args.format, record, grid, lambda r: _compromise_text(r, grid(r)))
     return 0
 
 
 # ---- check-disjoint
+
+
+def _disjoint_text(record: dict) -> str:
+    if record["stable"]:
+        return "stable: every active coalition has nonnegative income"
+    return (
+        "unstable: an active coalition has negative income\n"
+        "witness: " + _witness_text(record["witness"])
+    )
 
 
 def cmd_check_disjoint(args) -> int:
@@ -351,37 +342,13 @@ def cmd_check_disjoint(args) -> int:
         except json.JSONDecodeError as exc:
             raise DocumentError(f"network file is not valid JSON: {exc}") from None
         net = Network.from_matrix(rows)
-        if net.n != instance.n:
-            raise ValueError(
-                f"network on {net.n} players, instance has {instance.n}"
-            )
-    elif args.profile is not None:
+    else:
         [(_, net)] = _profile_networks(instance, args.profile)
-    else:
-        raise ValueError("pick a network: --profile K or --network FILE")
     report = check_disjoint_stability(instance, net, rule)
-    if args.format == "json":
-        payload = {"rule": rule.value, "stable": report.stable}
-        if report.witness is not None:
-            payload["witness"] = {
-                "player": report.witness.player + 1,
-                "removed_arcs": _arcs_1based(report.witness.removed_arcs),
-                "gain": _fmt(report.witness.gain),
-            }
-        print(json.dumps(payload, indent=2))
-    else:
-        if report.stable:
-            print("stable: every active coalition has nonnegative income")
-        else:
-            lines = ["unstable: an active coalition has negative income"]
-            if report.witness is not None:
-                w = report.witness
-                arcs = " ".join(f"({i + 1},{j + 1})" for i, j in w.removed_arcs)
-                lines.append(
-                    f"witness: player {w.player + 1} removes {arcs} "
-                    f"and gains {_fmt(w.gain)}"
-                )
-            print("\n".join(lines))
+    record = {"rule": rule.value, "stable": report.stable}
+    if not report.stable:
+        record["witness"] = _witness(report.witness)
+    _emit(args.format, record, None, _disjoint_text)
     return 0 if report.stable else 1
 
 
@@ -389,12 +356,11 @@ def cmd_check_disjoint(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    lo, hi = args.income_range
     instance = random_instance(
         seed=args.seed,
         n=args.players,
         coalition_count=args.coalitions,
-        income_range=(lo, hi),
+        income_range=tuple(args.income_range),
         disjoint=args.disjoint,
     )
     text = save_instance(instance)
@@ -549,13 +515,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -68,16 +68,23 @@ class Network:
 
     @classmethod
     def from_matrix(cls, rows) -> Network:
-        m = _as_matrix(rows)
-        n = len(m)
-        if any(len(row) != n for row in m):
+        """Network of a square 0/1 adjacency matrix given as a list of
+        rows; the diagonal is ignored.  Anything else, including cells
+        such as True or "1", raises ValueError."""
+        if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in rows
+        ):
+            raise ValueError("adjacency matrix must be a list of rows")
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise ValueError("adjacency matrix must be square")
         arcs = set()
         for i in range(n):
             for j in range(n):
-                if m[i][j] not in (0, 1):
-                    raise ValueError(f"adjacency entries must be 0 or 1, got {m[i][j]!r}")
-                if m[i][j] and i != j:
+                v = rows[i][j]
+                if type(v) is not int or v not in (0, 1):
+                    raise ValueError(f"adjacency entries must be 0 or 1, got {v!r}")
+                if v and i != j:
                     arcs.add((i, j))
         return cls(n, frozenset(arcs))
 
@@ -86,9 +93,6 @@ class Network:
             tuple(1 if (i, j) in self.arcs else 0 for j in range(self.n))
             for i in range(self.n)
         )
-
-    def has_arc(self, i: int, j: int) -> bool:
-        return (i, j) in self.arcs
 
     def linked(self, i: int, j: int) -> bool:
         """True when at least one of the arcs (i, j), (j, i) is present."""

@@ -108,15 +108,16 @@ def instance_from_document(doc) -> GameInstance:
                 raise DocumentError(f"{where}.members: players must be integers")
             members.append(m - 1)
         income = parse_fraction(_expect(raw, "income", (str, int), where), f"{where}.income")
-        shares_raw = _expect(raw, "shares", dict, where)
-        shares = {}
-        for key, v in shares_raw.items():
-            try:
-                player = int(key)
-            except ValueError:
-                raise DocumentError(f"{where}.shares: bad player key {key!r}") from None
-            shares[player - 1] = parse_fraction(v, f"{where}.shares[{key!r}]")
-        coalitions.append(CoalitionSpec(tuple(members), income, shares))
+        shares = None  # omitted: CoalitionSpec.of splits the income evenly
+        if "shares" in raw:
+            shares = {}
+            for key, v in _expect(raw, "shares", dict, where).items():
+                try:
+                    player = int(key)
+                except ValueError:
+                    raise DocumentError(f"{where}.shares: bad player key {key!r}") from None
+                shares[player - 1] = parse_fraction(v, f"{where}.shares[{key!r}]")
+        coalitions.append(CoalitionSpec.of(members, income, shares))
 
     profiles = []
     for idx, raw in enumerate(doc.get("profiles", [])):

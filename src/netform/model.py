@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .formation import OfferProfile
 
-Rational = Fraction
-
 
 class ActivationRule(Enum):
     """When a coalition counts as active in a network.
@@ -108,7 +106,8 @@ def validate_instance(instance: GameInstance, strict: bool = False) -> Validatio
     Errors: player count < 2, coalition size outside {2, 3}, repeated or
     out-of-range members, duplicate coalition member sets, negative shares,
     share keys not matching members, profile or payoff-table dimensions
-    not matching the player count.  A share sum different from 1 is an
+    not matching the player count, a payoff table whose row count differs
+    from the number of stored profiles.  A share sum different from 1 is an
     error in strict mode and a warning otherwise.
     """
     errors: list[str] = []
@@ -151,6 +150,11 @@ def validate_instance(instance: GameInstance, strict: bool = False) -> Validatio
                 f"{instance.n}-player instance"
             )
     if instance.payoff_matrix is not None:
+        rows = len(instance.payoff_matrix)
+        if instance.profiles and rows != len(instance.profiles):
+            errors.append(
+                f"payoff table has {rows} rows for {len(instance.profiles)} profiles"
+            )
         for r, row in enumerate(instance.payoff_matrix):
             if len(row) != instance.n:
                 errors.append(

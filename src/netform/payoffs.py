@@ -33,16 +33,6 @@ def active_coalitions(
     return tuple(c for c in instance.coalitions if is_active(c, network, rule))
 
 
-def player_payoff(
-    instance: GameInstance, network: Network, player: int, rule: ActivationRule
-) -> Fraction:
-    total = Fraction(0)
-    for c in instance.coalitions:
-        if player in c.members and is_active(c, network, rule):
-            total += c.share_of(player) * c.income
-    return total
-
-
 def payoff_vector(
     instance: GameInstance, network: Network, rule: ActivationRule
 ) -> PayoffVector:

@@ -154,7 +154,7 @@ def check_disjoint_stability(
 ) -> StabilityReport:
     """Fast stability verdict for instances whose coalitions have
     pairwise-disjoint arc sets: the network is stable exactly when every
-    active coalition has nonnegative income.
+    active coalition with a positive-share member has nonnegative income.
 
     The witness for an unstable network is a positive-share member of a
     negative-income active coalition breaking with one fellow member,
@@ -169,32 +169,29 @@ def check_disjoint_stability(
     overlap = find_overlapping_pair(instance)
     if overlap is not None:
         raise OverlappingCoalitionsError(*overlap)
+    # a coalition whose shares are all 0 pays nobody, so nobody gains by
+    # switching it off: it counts only with a positive-share member
     negatives = [
         c
         for c in active_coalitions(instance, network, rule)
-        if c.income < 0
+        if c.income < 0 and any(c.share_of(m) > 0 for m in c.members)
     ]
     if not negatives:
         return StabilityReport(stable=True, witness=None)
-    witness = None
-    for c in negatives:
-        gainers = sorted(m for m in c.members if c.share_of(m) > 0)
-        if not gainers:
-            continue
-        p = gainers[0]
-        q = min(m for m in c.members if m != p)
-        removed = tuple(
-            sorted(a for a in ((p, q), (q, p)) if a in network.arcs)
-        )
-        after = remove_arcs(network, removed)
-        gain = (
-            payoff_vector(instance, after, rule)[p]
-            - payoff_vector(instance, network, rule)[p]
-        )
-        witness = Deviation(
-            player=p, removed_arcs=removed, resulting_network=after, gain=gain
-        )
-        break
+    c = negatives[0]
+    p = min(m for m in c.members if c.share_of(m) > 0)
+    q = min(m for m in c.members if m != p)
+    removed = tuple(
+        sorted(a for a in ((p, q), (q, p)) if a in network.arcs)
+    )
+    after = remove_arcs(network, removed)
+    gain = (
+        payoff_vector(instance, after, rule)[p]
+        - payoff_vector(instance, network, rule)[p]
+    )
+    witness = Deviation(
+        player=p, removed_arcs=removed, resulting_network=after, gain=gain
+    )
     return StabilityReport(stable=False, witness=witness)
 
 

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import netform
 from netform.cli import main
 from netform.instance_io import save_instance
 from netform import worked_example
@@ -225,6 +229,26 @@ def test_check_disjoint_verdicts(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["stable"] is False
     assert payload["witness"]["gain"] == "1/2"
+
+
+@pytest.mark.parametrize("matrix", ["5", '[[0, "1"], [1, 0]]', "[[0, true], [1, 0]]"])
+def test_check_disjoint_rejects_malformed_network_file(tmp_path, matrix):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "schema": "game-instance/1",
+        "players": 2,
+        "coalitions": [{"members": [1, 2], "income": "-1"}],
+    }))
+    net = tmp_path / "net.json"
+    net.write_text(matrix)
+    src = Path(netform.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "netform.cli", "check-disjoint", str(inst), "--network", str(net)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: adjacency")
+    assert "Traceback" not in done.stderr
 
 
 def test_generate_deterministic_and_disjoint(capsys, tmp_path):

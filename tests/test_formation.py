@@ -85,6 +85,9 @@ def test_from_matrix_rejects_bad_entries():
         Network.from_matrix([[0, 3], [0, 0]])
     with pytest.raises(ValueError, match="square"):
         Network.from_matrix([[0, 1], [0]])
+    for rows in (5, [5, 5], [[0, "1"], [1, 0]], [[0, True], [1, 0]], [[0, 1.0], [1, 0]]):
+        with pytest.raises(ValueError):
+            Network.from_matrix(rows)
 
 
 def test_complete_and_empty():

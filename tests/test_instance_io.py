@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from netform import (
+    ActivationRule,
     DocumentError,
     GameInstance,
     CoalitionSpec,
@@ -169,6 +170,17 @@ def test_members_one_based_in_documents():
     assert doc["coalitions"][0]["members"] == [1, 3]
     assert set(doc["coalitions"][0]["shares"]) == {"1", "3"}
     assert load_instance(json.dumps(doc)) == inst
+
+
+def test_readme_instance_document_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Instance documents", 1)[1]
+    text = section.split("```json\n", 1)[1].split("```", 1)[0]
+    inst = load_instance(text)
+    assert inst.n == 3 and len(inst.profiles) == 1
+    assert inst.default_rule is ActivationRule.MUTUAL
+    # the triple omits shares: its income is split evenly
+    assert inst.coalitions[1].shares == {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}
 
 
 def test_csv_export():

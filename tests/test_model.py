@@ -105,6 +105,18 @@ def test_payoff_matrix_width_checked():
     assert any("payoff table row 1" in e for e in report.errors)
 
 
+def test_payoff_matrix_row_count_must_match_profiles():
+    profile = OfferProfile.of([[0, 1], [1, 0]], [[0, 1], [1, 0]])
+    coalitions = [CoalitionSpec.of((0, 1), 1)]
+    row = (Fraction(1, 2), Fraction(1, 2))
+    short = _inst(coalitions, n=2, profiles=(profile, profile), payoff_matrix=(row,))
+    assert "payoff table has 1 rows for 2 profiles" in validate_instance(short).errors
+    matched = _inst(coalitions, n=2, profiles=(profile, profile), payoff_matrix=(row, row))
+    assert validate_instance(matched).ok
+    # without stored profiles the table stands alone
+    assert validate_instance(_inst(coalitions, n=2, payoff_matrix=(row,))).ok
+
+
 def test_rule_resolution_precedence():
     inst = _inst([CoalitionSpec.of((0, 1), 1)])
     assert inst.rule_or(None) is ActivationRule.LINKED

@@ -176,6 +176,18 @@ def test_disjoint_verdict_and_witness():
     assert not is_stable(inst, shaky, LINKED).stable
 
 
+def test_zero_share_negative_coalition_is_stable_for_both_engines():
+    # income -1 split 0/0 pays nobody, so breaking the pair gains nothing
+    inst = GameInstance(
+        n=2,
+        coalitions=(CoalitionSpec.of((0, 1), -1, {0: 0, 1: 0}),),
+    )
+    net = Network.of(2, [(0, 1), (1, 0)])
+    for rule in (ActivationRule.MUTUAL, LINKED):
+        assert check_disjoint_stability(inst, net, rule).stable
+        assert is_stable(inst, net, rule).stable
+
+
 def test_restricted_equilibria_frozen_result():
     inst = worked_example()
     report = restricted_equilibria(inst, LINKED)
