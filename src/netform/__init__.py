@@ -24,7 +24,6 @@ from .formation import (
     complete_network,
     empty_network,
     form_network,
-    incident_arcs,
     remove_arcs,
 )
 from .instance_io import (
@@ -58,7 +57,6 @@ from .stability import (
     RestrictedEquilibriaReport,
     StabilityReport,
     check_disjoint_stability,
-    enumerate_deviations,
     find_overlapping_pair,
     is_stable,
     restricted_equilibria,
@@ -89,11 +87,9 @@ __all__ = [
     "complete_network",
     "compromise_solution",
     "empty_network",
-    "enumerate_deviations",
     "find_overlapping_pair",
     "form_network",
     "ideal_vector",
-    "incident_arcs",
     "instance_from_document",
     "instance_to_document",
     "intersecting_example",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .compromise import PayoffMatrix, compromise_solution, regret_vectors
@@ -149,6 +148,10 @@ def _profile_worker(payload):
 
 def _map_jobs(worker, payloads, jobs: int):
     if jobs > 1:
+        # imported here: the pool pulls in multiprocessing, which every
+        # other command would pay for at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, payloads))
     return [worker(p) for p in payloads]
@@ -326,7 +329,7 @@ def cmd_compromise(args) -> int:
 
 def _disjoint_text(record: dict) -> str:
     if record["stable"]:
-        return "stable: every active coalition has nonnegative income"
+        return "stable: no active coalition with a positive-share member has negative income"
     return (
         "unstable: an active coalition has negative income\n"
         "witness: " + _witness_text(record["witness"])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 import random
 
 from .formation import Network, OfferProfile
@@ -167,6 +168,11 @@ BUILTIN = {
 }
 
 
+# most candidate coalitions, C(n, 2) + C(n, 3), that random_instance
+# builds before it samples: at most 181 players
+MAX_CANDIDATES = 10 ** 6
+
+
 def random_instance(
     seed: int,
     n: int = 5,
@@ -179,7 +185,8 @@ def random_instance(
 
     With disjoint=True the coalitions are constrained to pairwise share
     at most one member, so the fast stability criterion applies.  Raises
-    ValueError when the requested count cannot be met.
+    ValueError when the requested count cannot be met, or when the
+    players would give more than MAX_CANDIDATES candidates.
     """
     if n < 2:
         raise ValueError(f"need at least 2 players, got {n}")
@@ -188,12 +195,18 @@ def random_instance(
     lo, hi = income_range
     if lo > hi:
         raise ValueError(f"empty income range ({lo}, {hi})")
+    total = comb(n, 2) + comb(n, 3)
+    if total > MAX_CANDIDATES:
+        raise ValueError(
+            f"{n} players give {total} candidate coalitions, over the limit "
+            f"of {MAX_CANDIDATES}"
+        )
     rng = random.Random(seed)
     candidates = [tuple(c) for c in combinations(range(n), 2)]
     candidates += [tuple(c) for c in combinations(range(n), 3)]
-    if coalition_count > len(candidates):
+    if coalition_count > total:
         raise ValueError(
-            f"only {len(candidates)} distinct coalitions exist on {n} players, "
+            f"only {total} distinct coalitions exist on {n} players, "
             f"cannot pick {coalition_count}"
         )
     if disjoint:

@@ -94,10 +94,6 @@ class Network:
             for i in range(self.n)
         )
 
-    def linked(self, i: int, j: int) -> bool:
-        """True when at least one of the arcs (i, j), (j, i) is present."""
-        return (i, j) in self.arcs or (j, i) in self.arcs
-
     def sorted_arcs(self) -> tuple[Arc, ...]:
         return tuple(sorted(self.arcs))
 
@@ -133,13 +129,6 @@ def empty_network(n: int) -> Network:
 
 def complete_network(n: int) -> Network:
     return Network(n, frozenset((i, j) for i in range(n) for j in range(n) if i != j))
-
-
-def incident_arcs(network: Network, player: int) -> tuple[Arc, ...]:
-    """All arcs touching a player, as a sorted tuple."""
-    if not 0 <= player < network.n:
-        raise ValueError(f"player {player} out of range for n={network.n}")
-    return tuple(sorted(a for a in network.arcs if player in a))
 
 
 def remove_arcs(network: Network, arcs) -> Network:

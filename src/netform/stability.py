@@ -4,17 +4,20 @@ The only deviation a player has is to remove a nonempty subset of the
 arcs they touch; adding arcs needs the other side's consent and is not a
 unilateral move.  A network is stable when no such removal strictly
 raises the deviating player's payoff.
+
+Activation is read only from the pair graph (`payoffs.pair_graph`), so a
+removal can only switch coalitions off, and only through the member
+pairs it takes out of that graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .formation import Arc, Network, form_network, incident_arcs, remove_arcs
+from .formation import Arc, Network, form_network, remove_arcs
 from .model import ActivationRule, CoalitionSpec, GameInstance
-from .payoffs import active_coalitions, payoff_vector
+from .payoffs import active_coalitions, payoff_vector, unlinking_arcs
 
 
 @dataclass(frozen=True)
@@ -66,40 +69,16 @@ def find_overlapping_pair(
     return None
 
 
-def enumerate_deviations(network: Network, player: int) -> tuple[tuple[Arc, ...], ...]:
-    """Every nonempty subset of the player's incident arcs, smallest
-    subsets first, lexicographic within a size."""
-    incident = incident_arcs(network, player)
-    out: list[tuple[Arc, ...]] = []
-    for size in range(1, len(incident) + 1):
-        out.extend(combinations(incident, size))
-    return tuple(out)
-
-
-def _active_after(
-    coalition: CoalitionSpec,
-    arcs: frozenset[Arc],
-    removed: tuple[Arc, ...],
-    rule: ActivationRule,
-) -> bool:
-    # activation against (arcs - removed) without building the difference
-    if rule is ActivationRule.MUTUAL:
-        return all(
-            (i, j) in arcs and (i, j) not in removed
-            and (j, i) in arcs and (j, i) not in removed
-            for i, j in coalition.pairs()
-        )
-    return all(
-        ((i, j) in arcs and (i, j) not in removed)
-        or ((j, i) in arcs and (j, i) not in removed)
-        for i, j in coalition.pairs()
-    )
-
-
 def is_stable(
     instance: GameInstance, network: Network, rule: ActivationRule
 ) -> StabilityReport:
-    """Brute-force stability check over every break deviation.
+    """Exact stability check over every break deviation.
+
+    A player p can only unlink pairs (p, q), so a deviation matters only
+    through the set S of co-members it cuts off.  S ranges over the
+    nonempty subsets of Q, the co-members of p in the active coalitions
+    that pay p a nonzero amount: 2^|Q| sets per player.  The arcs removed
+    are the fewest that cut S: `unlinking_arcs` for each q in S.
 
     When unstable, the witness is the deviation with the largest gain;
     ties go to the lowest player index, then to the fewest removed arcs,
@@ -109,42 +88,37 @@ def is_stable(
         raise ValueError(
             f"network on {network.n} players, instance has {instance.n}"
         )
-    arcs = network.arcs
-    best_gain = Fraction(0)
-    best: tuple[int, tuple[Arc, ...]] | None = None
+    active = active_coalitions(instance, network, rule)
+    best = None  # (-gain, player, len(removed), removed): the least key wins
     for player in range(instance.n):
-        mine = [
-            c
-            for c in instance.coalitions
+        stakes = [
+            (c.member_set() - {player}, c.share_of(player) * c.income)
+            for c in active
             if player in c.members and c.income != 0 and c.share_of(player) != 0
         ]
-        if not mine:
-            continue
-        before = [
-            c.share_of(player) * c.income
-            for c in mine
-            if _active_after(c, arcs, (), rule)
-        ]
-        base = sum(before, Fraction(0))
-        for removed in enumerate_deviations(network, player):
-            after = Fraction(0)
-            for c in mine:
-                if _active_after(c, arcs, removed, rule):
-                    after += c.share_of(player) * c.income
-            gain = after - base
-            if gain > best_gain:
-                best_gain = gain
-                best = (player, removed)
+        partners = sorted(set().union(*(others for others, _ in stakes)))
+        arcs_to = {q: unlinking_arcs(network, player, q, rule) for q in partners}
+        cuts: list[tuple[int, ...]] = [()]
+        for q in partners:
+            cuts += [cut + (q,) for cut in cuts]
+        for cut in cuts[1:]:
+            gain = -sum(w for others, w in stakes if not others.isdisjoint(cut))
+            if gain <= 0:
+                continue
+            removed = tuple(sorted(a for q in cut for a in arcs_to[q]))
+            key = (-gain, player, len(removed), removed)
+            if best is None or key < best:
+                best = key
     if best is None:
         return StabilityReport(stable=True, witness=None)
-    player, removed = best
+    loss, player, _, removed = best
     return StabilityReport(
         stable=False,
         witness=Deviation(
             player=player,
             removed_arcs=removed,
             resulting_network=remove_arcs(network, removed),
-            gain=best_gain,
+            gain=-loss,
         ),
     )
 

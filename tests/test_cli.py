@@ -251,6 +251,20 @@ def test_check_disjoint_rejects_malformed_network_file(tmp_path, matrix):
     assert "Traceback" not in done.stderr
 
 
+def test_import_loads_no_process_pool():
+    # --jobs imports its pool on first use, so no other command pays for it
+    src = Path(netform.__file__).resolve().parents[1]
+    probe = (
+        "import sys, netform.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
 def test_generate_deterministic_and_disjoint(capsys, tmp_path):
     code, first, _ = run(capsys, "generate", "--seed", "11", "--coalitions", "3", "--disjoint")
     assert code == 0
@@ -284,6 +298,9 @@ def test_generate_infeasible(capsys):
     )
     assert code == 2
     assert "cannot pick" in err
+    code, _, err = run(capsys, "generate", "--seed", "0", "--players", "2000")
+    assert code == 2
+    assert "limit" in err
 
 
 def test_strict_flag_rejects_anomalous_shares(capsys, tmp_path):

@@ -118,3 +118,6 @@ def test_generator_infeasible_requests():
         random_instance(seed=0, n=4, coalition_count=1, income_range=(3, -3))
     with pytest.raises(ValueError, match="nonnegative"):
         random_instance(seed=0, n=4, coalition_count=-1)
+    # refused before any candidate is built
+    with pytest.raises(ValueError, match="limit"):
+        random_instance(seed=0, n=2000, coalition_count=1)

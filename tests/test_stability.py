@@ -14,7 +14,6 @@ from netform import (
     Network,
     OverlappingCoalitionsError,
     check_disjoint_stability,
-    enumerate_deviations,
     find_overlapping_pair,
     form_network,
     is_stable,
@@ -32,24 +31,6 @@ from oracles import (
 
 MUTUAL = ActivationRule.MUTUAL
 LINKED = ActivationRule.LINKED
-
-
-def test_enumerate_deviations_counts_and_order():
-    net = Network.of(4, [(0, 1), (1, 2), (3, 1)])
-    subsets = enumerate_deviations(net, 1)
-    assert len(subsets) == 2 ** 3 - 1
-    sizes = [len(s) for s in subsets]
-    assert sizes == sorted(sizes)
-    assert subsets[0] == ((0, 1),)
-    assert subsets[-1] == ((0, 1), (1, 2), (3, 1))
-    # within a size block, lexicographic by arc list
-    assert subsets[3] == ((0, 1), (1, 2))
-
-
-def test_isolated_player_has_no_deviations():
-    inst = worked_example()
-    g10 = form_network(inst.profiles[9])
-    assert enumerate_deviations(g10, 0) == ()
 
 
 def test_stable_network_with_nothing_to_lose():
@@ -92,6 +73,11 @@ def test_witness_tie_breaks_prefer_small_subsets():
     assert report.witness.player == 0
     assert report.witness.removed_arcs == ((0, 1),)
     assert report.witness.gain == Fraction(2)
+    # under LINKED one arc leaves the pair linked, so both must go
+    report = is_stable(inst, net, LINKED)
+    assert report.witness.player == 0
+    assert report.witness.removed_arcs == ((0, 1), (1, 0))
+    assert report.witness.gain == Fraction(2)
 
 
 def test_network_size_mismatch_rejected():
@@ -104,15 +90,20 @@ def test_network_size_mismatch_rejected():
 
 def test_brute_force_matches_oracle_on_random_cases():
     rng = random.Random(802)
-    for _ in range(60):
-        n = rng.randint(2, 5)
-        # two players admit a single coalition, so cap the request there
-        cap = 1 if n == 2 else 3
-        inst = random_instance(
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        # two players admit a single coalition, three admit four
+        cap = {2: 1, 3: 4}.get(n, 8)
+        drawn = random_instance(
             seed=rng.randrange(10 ** 6), n=n, coalition_count=rng.randint(1, cap),
             income_range=(-5, 5),
         )
-        g = random_adjacency(rng, n, rng.uniform(0.1, 0.7))
+        # random shares, zero and non-unit sums included
+        inst = GameInstance(n=n, coalitions=tuple(
+            CoalitionSpec.of(c.members, c.income, {m: Fraction(rng.randint(0, 3), 2) for m in c.members})
+            for c in drawn.coalitions
+        ))
+        g = random_adjacency(rng, n, rng.uniform(0.1, 1.0))
         net = Network.from_matrix(g)
         rule = rng.choice((MUTUAL, LINKED))
         report = is_stable(inst, net, rule)
