@@ -20,6 +20,7 @@ from netform import (
     profile_payoffs,
     worked_example,
 )
+from netform.payoffs import pair_graph, unlinking_arcs
 
 from oracles import coalition_triples, oracle_payoffs, random_adjacency
 
@@ -34,6 +35,23 @@ def test_linked_accepts_one_direction_mutual_does_not():
     assert triple_345.members == (2, 3, 4)
     assert is_active(triple_345, g5, LINKED)
     assert not is_active(triple_345, g5, MUTUAL)
+
+
+def test_pair_graph_per_rule():
+    net = Network.of(4, [(0, 1), (1, 0), (2, 1), (3, 0)])
+    assert pair_graph(net, MUTUAL) == {(0, 1)}
+    assert pair_graph(net, LINKED) == {(0, 1), (1, 2), (0, 3)}
+    assert pair_graph(Network.of(4, []), LINKED) == frozenset()
+
+
+def test_unlinking_arcs_are_fewest_and_sorted():
+    net = Network.of(3, [(0, 1), (1, 0), (2, 1)])
+    # MUTUAL: one arc of a mutual pair is enough, the smaller one
+    assert unlinking_arcs(net, 1, 0, MUTUAL) == ((0, 1),)
+    # LINKED: every present arc of the pair must go
+    assert unlinking_arcs(net, 1, 0, LINKED) == ((0, 1), (1, 0))
+    assert unlinking_arcs(net, 1, 2, LINKED) == ((2, 1),)
+    assert unlinking_arcs(net, 0, 2, LINKED) == ()
 
 
 def test_mutual_activation_implies_linked():

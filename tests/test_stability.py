@@ -80,6 +80,25 @@ def test_witness_tie_breaks_prefer_small_subsets():
     assert report.witness.gain == Fraction(2)
 
 
+def test_one_cut_switches_off_every_coalition_through_the_pair():
+    # cutting partner 1 drops both negative coalitions of player 0 at once
+    inst = GameInstance(n=4, coalitions=(
+        CoalitionSpec.of((0, 1, 2), -6),
+        CoalitionSpec.of((0, 1, 3), -3),
+        CoalitionSpec.of((0, 2), 4, {0: 1, 2: 1}),
+    ))
+    net = Network.of(4, [(i, j) for i in range(4) for j in range(4) if i != j])
+    for rule, removed in ((MUTUAL, ((0, 1),)), (LINKED, ((0, 1), (1, 0)))):
+        report = is_stable(inst, net, rule)
+        assert report.witness.player == 0
+        assert report.witness.removed_arcs == removed
+        assert report.witness.gain == Fraction(3)
+        stable, best = oracle_best_deviation(
+            coalition_triples(inst), [list(row) for row in net.matrix()], rule.value
+        )
+        assert (stable, best) == (False, (Fraction(3), 0, removed))
+
+
 def test_network_size_mismatch_rejected():
     inst = GameInstance(n=3, coalitions=(CoalitionSpec.of((0, 1), 1),))
     with pytest.raises(ValueError, match="3"):
