@@ -94,9 +94,6 @@ class Network:
             for i in range(self.n)
         )
 
-    def sorted_arcs(self) -> tuple[Arc, ...]:
-        return tuple(sorted(self.arcs))
-
 
 def form_network(profile: OfferProfile) -> Network:
     """Form the network that a profile induces: arc (i, j) exists exactly
@@ -121,14 +118,6 @@ def form_network(profile: OfferProfile) -> Network:
             stacklevel=2,
         )
     return Network(n, frozenset(arcs))
-
-
-def empty_network(n: int) -> Network:
-    return Network(n, frozenset())
-
-
-def complete_network(n: int) -> Network:
-    return Network(n, frozenset((i, j) for i in range(n) for j in range(n) if i != j))
 
 
 def remove_arcs(network: Network, arcs) -> Network:

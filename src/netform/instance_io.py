@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,9 +31,12 @@ class DocumentError(ValueError):
 
 
 def parse_fraction(value, where: str) -> Fraction:
-    """Exact rational from a JSON value: int, or a string Fraction accepts.
+    """Exact rational from a JSON value: int, or a string Fraction accepts
+    ("3", "-5/4", "0.25").
 
-    JSON floats are refused so precision loss cannot sneak in upstream.
+    JSON floats are refused so precision loss cannot sneak in upstream,
+    and so is exponent notation: Fraction would expand "1e1000000000"
+    digit by digit.
     """
     if isinstance(value, bool):
         raise DocumentError(f"{where}: expected a fraction string, got {value!r}")
@@ -44,15 +48,13 @@ def parse_fraction(value, where: str) -> Fraction:
             f"\"{Fraction(value).limit_denominator()}\""
         )
     if isinstance(value, str):
+        if re.search(r"[\d.][eE][-+]?\d", value):
+            raise DocumentError(f"{where}: exponent notation is not accepted, got {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"{where}: bad fraction {value!r} ({exc})") from None
     raise DocumentError(f"{where}: expected a fraction string, got {type(value).__name__}")
-
-
-def format_fraction(value: Fraction) -> str:
-    return str(Fraction(value))
 
 
 def _expect(doc: dict, key: str, kind, where: str):
@@ -174,9 +176,9 @@ def instance_to_document(instance: GameInstance) -> dict:
         "coalitions": [
             {
                 "members": [m + 1 for m in c.members],
-                "income": format_fraction(c.income),
+                "income": str(c.income),
                 "shares": {
-                    str(m + 1): format_fraction(s)
+                    str(m + 1): str(s)
                     for m, s in sorted(c.shares.items())
                 },
             }
@@ -193,7 +195,7 @@ def instance_to_document(instance: GameInstance) -> dict:
         ]
     if instance.payoff_matrix is not None:
         doc["payoff_matrix"] = [
-            [format_fraction(v) for v in row] for row in instance.payoff_matrix
+            [str(v) for v in row] for row in instance.payoff_matrix
         ]
     if instance.default_rule is not None:
         doc["default_rule"] = instance.default_rule.value
@@ -225,10 +227,6 @@ def save_instance(instance: GameInstance) -> str:
 
 def load_instance_file(path, strict: bool = False) -> GameInstance:
     return load_instance(Path(path).read_text(encoding="utf-8"), strict=strict)
-
-
-def save_instance_file(instance: GameInstance, path) -> None:
-    Path(path).write_text(save_instance(instance), encoding="utf-8")
 
 
 def to_csv(header, rows) -> str:

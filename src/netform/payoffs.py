@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .formation import Arc, Network, form_network
+from .formation import Arc, Network
 from .model import ActivationRule, CoalitionSpec, GameInstance
 
 PayoffVector = tuple[Fraction, ...]
@@ -36,11 +36,6 @@ def unlinking_arcs(network: Network, i: int, j: int, rule: ActivationRule) -> tu
     return present[:1] if rule is ActivationRule.MUTUAL else present
 
 
-def is_active(coalition: CoalitionSpec, network: Network, rule: ActivationRule) -> bool:
-    """Whether a coalition is active in a network under the given rule."""
-    return pair_graph(network, rule).issuperset(coalition.pairs())
-
-
 def active_coalitions(
     instance: GameInstance, network: Network, rule: ActivationRule
 ) -> tuple[CoalitionSpec, ...]:
@@ -57,12 +52,3 @@ def payoff_vector(
         for m in c.members:
             totals[m] += c.share_of(m) * c.income
     return tuple(totals)
-
-
-def profile_payoffs(
-    instance: GameInstance, rule: ActivationRule
-) -> tuple[PayoffVector, ...]:
-    """Payoff vector of every stored profile's formed network, in order."""
-    return tuple(
-        payoff_vector(instance, form_network(p), rule) for p in instance.profiles
-    )

@@ -7,7 +7,9 @@ raises the deviating player's payoff.
 
 Activation is read only from the pair graph (`payoffs.pair_graph`), so a
 removal can only switch coalitions off, and only through the member
-pairs it takes out of that graph.
+pairs it takes out of that graph.  Both engines build a witness the same
+way: the player cuts a set of partners, removing `payoffs.unlinking_arcs`
+for each.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from fractions import Fraction
 from .formation import Arc, Network, form_network, remove_arcs
 from .model import ActivationRule, CoalitionSpec, GameInstance
 from .payoffs import active_coalitions, payoff_vector, unlinking_arcs
+
+# Largest number of cut sets `is_stable` will try, summed over players.
+# At about 25 microseconds per cut set this is about 30 s of search.
+MAX_CUT_SETS = 2**20
 
 
 @dataclass(frozen=True)
@@ -82,14 +88,15 @@ def is_stable(
 
     When unstable, the witness is the deviation with the largest gain;
     ties go to the lowest player index, then to the fewest removed arcs,
-    then lexicographically by arc list.
+    then lexicographically by arc list.  Raises ValueError, before any
+    search, when the players' cut sets add up to more than MAX_CUT_SETS.
     """
     if network.n != instance.n:
         raise ValueError(
             f"network on {network.n} players, instance has {instance.n}"
         )
     active = active_coalitions(instance, network, rule)
-    best = None  # (-gain, player, len(removed), removed): the least key wins
+    searches = []
     for player in range(instance.n):
         stakes = [
             (c.member_set() - {player}, c.share_of(player) * c.income)
@@ -97,6 +104,15 @@ def is_stable(
             if player in c.members and c.income != 0 and c.share_of(player) != 0
         ]
         partners = sorted(set().union(*(others for others, _ in stakes)))
+        searches.append((player, stakes, partners))
+    total = sum(2 ** len(partners) - 1 for _, _, partners in searches)
+    if total > MAX_CUT_SETS:
+        raise ValueError(
+            f"stability search needs {total} cut sets, more than the "
+            f"limit of {MAX_CUT_SETS}"
+        )
+    best = None  # (-gain, player, len(removed), removed): the least key wins
+    for player, stakes, partners in searches:
         arcs_to = {q: unlinking_arcs(network, player, q, rule) for q in partners}
         cuts: list[tuple[int, ...]] = [()]
         for q in partners:
@@ -130,9 +146,12 @@ def check_disjoint_stability(
     pairwise-disjoint arc sets: the network is stable exactly when every
     active coalition with a positive-share member has nonnegative income.
 
-    The witness for an unstable network is a positive-share member of a
-    negative-income active coalition breaking with one fellow member,
-    which deactivates that coalition and nothing else.  Raises
+    The witness for an unstable network is the first such coalition's
+    lowest positive-share member p cutting its lowest fellow member q
+    with the fewest arcs, `unlinking_arcs` as in `is_stable`.  No other
+    coalition holds the pair {p, q}, so the cut deactivates that
+    coalition alone and p gains minus its share of the income.  The
+    gain is at most that of `is_stable`'s witness.  Raises
     OverlappingCoalitionsError when the disjointness precondition fails,
     naming the offending pair.
     """
@@ -155,16 +174,12 @@ def check_disjoint_stability(
     c = negatives[0]
     p = min(m for m in c.members if c.share_of(m) > 0)
     q = min(m for m in c.members if m != p)
-    removed = tuple(
-        sorted(a for a in ((p, q), (q, p)) if a in network.arcs)
-    )
-    after = remove_arcs(network, removed)
-    gain = (
-        payoff_vector(instance, after, rule)[p]
-        - payoff_vector(instance, network, rule)[p]
-    )
+    removed = unlinking_arcs(network, p, q, rule)
     witness = Deviation(
-        player=p, removed_arcs=removed, resulting_network=after, gain=gain
+        player=p,
+        removed_arcs=removed,
+        resulting_network=remove_arcs(network, removed),
+        gain=-c.share_of(p) * c.income,
     )
     return StabilityReport(stable=False, witness=witness)
 

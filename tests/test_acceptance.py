@@ -30,23 +30,21 @@ from netform import (
     ActivationRule,
     Network,
     PayoffMatrix,
-    ReachableDeviation,
-    active_coalitions,
     check_disjoint_stability,
     compromise_solution,
     form_network,
     ideal_vector,
-    is_active,
     is_stable,
     payoff_vector,
-    profile_payoffs,
     random_instance,
     regret_vectors,
-    remove_arcs,
     restricted_equilibria,
     worked_example,
 )
 from netform.datasets import intersecting_example, intersecting_example_network
+from netform.formation import remove_arcs
+from netform.payoffs import active_coalitions, unlinking_arcs
+from netform.stability import ReachableDeviation
 
 DATA = Path(__file__).parent / "data"
 
@@ -162,7 +160,7 @@ def test_formation_reproduction(capsys):
 def test_payoff_reproduction(capsys):
     def body():
         inst = worked_example()
-        rows = profile_payoffs(inst, LINKED)
+        rows = [payoff_vector(inst, form_network(p), LINKED) for p in inst.profiles]
 
         # spot values the reference material states consistently
         assert rows[3] == (-1, 3, 1, 1, 3)
@@ -350,6 +348,18 @@ def test_disjoint_criterion_equivalence(capsys):
                             - payoff_vector(inst, net, rule)[w.player]
                         )
                         assert gain == w.gain > 0
+                    # one witness rule: the fast witness cuts one fellow
+                    # member of a negative coalition with the fewest arcs
+                    w = fast.witness
+                    cuts = [
+                        unlinking_arcs(net, w.player, q, rule)
+                        for c in active_coalitions(inst, net, rule)
+                        if w.player in c.members and c.income < 0
+                        for q in c.members
+                        if q != w.player
+                    ]
+                    assert w.removed_arcs in cuts, f"seed {seed} rule {rule}"
+                    assert w.gain <= full.witness.gain
             if seed % 25 == 0:
                 ok, _ = oracle_best_deviation(
                     coalition_triples(inst), matrix_of(net.arcs, n), "linked"
@@ -402,11 +412,11 @@ def test_property_suite(capsys):
             if not net.arcs:
                 net = Network.of(n, [(i, j) for i in range(n)
                                     for j in range(n) if i != j])
-            smaller = remove_arcs(net, [rng.choice(net.sorted_arcs())])
+            smaller = remove_arcs(net, [rng.choice(sorted(net.arcs))])
             for rule in (MUTUAL, LINKED):
-                for c in inst.coalitions:
-                    if is_active(c, smaller, rule):
-                        assert is_active(c, net, rule), f"case {k} rule {rule}"
+                before = active_coalitions(inst, net, rule)
+                for c in active_coalitions(inst, smaller, rule):
+                    assert c in before, f"case {k} rule {rule}"
 
         # shift invariance: per-player constant offsets cancel in regrets
         for k in range(CASES):

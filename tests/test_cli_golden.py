@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from netform import ActivationRule, load_instance, profile_payoffs
+from netform import ActivationRule, form_network, load_instance, payoff_vector
 from netform.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -85,7 +85,8 @@ def _generated(argv: list[str], where: Path, profiles: int, seed: int) -> dict:
 
 def _inputs(where: Path) -> dict:
     rand = _generated(["--seed", "7", "--players", "5", "--coalitions", "6"], where, 4, 1)
-    rows = profile_payoffs(load_instance(json.dumps(rand)), ActivationRule.LINKED)
+    inst = load_instance(json.dumps(rand))
+    rows = [payoff_vector(inst, form_network(p), ActivationRule.LINKED) for p in inst.profiles]
     table = [[str(v) for v in row] for row in rows]
     table[2][1] = str(rows[2][1] + 3)  # one disagreement with the engine
     rand["payoff_matrix"] = table

@@ -6,15 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from netform import (
-    ActivationRule,
-    find_overlapping_pair,
-    intersecting_example,
-    intersecting_example_network,
-    random_instance,
-    validate_instance,
-    worked_example,
-)
+from netform import ActivationRule, form_network, random_instance, worked_example
+from netform.datasets import intersecting_example, intersecting_example_network
+from netform.model import validate_instance
+from netform.stability import find_overlapping_pair
 
 
 def test_worked_example_shape():
@@ -64,8 +59,6 @@ def test_intersecting_network_is_symmetric_sixteen_arcs():
     for i, j in net.arcs:
         assert (j, i) in net.arcs
     # the bundled profile forms exactly this network
-    from netform import form_network
-
     inst = intersecting_example()
     assert form_network(inst.profiles[0]) == net
 

@@ -9,14 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netform import (
-    Network,
-    OfferProfile,
-    complete_network,
-    empty_network,
-    form_network,
-    remove_arcs,
-)
+from netform import Network, form_network
+from netform.formation import OfferProfile, remove_arcs
 
 from oracles import oracle_form
 
@@ -90,8 +84,10 @@ def test_from_matrix_rejects_bad_entries():
 
 
 def test_complete_and_empty():
-    assert empty_network(4).arcs == frozenset()
-    comp = complete_network(5)
+    # from_matrix ignores the diagonal, so all-zero and all-one matrices
+    # give the empty and the complete network
+    assert Network.from_matrix([[0] * 4] * 4).arcs == frozenset()
+    comp = Network.from_matrix([[1] * 5] * 5)
     assert len(comp.arcs) == 20
     for player in range(5):
         assert sum(player in arc for arc in comp.arcs) == 8

@@ -2,27 +2,27 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import netform
 from netform import (
     ActivationRule,
     DocumentError,
     GameInstance,
     CoalitionSpec,
-    instance_to_document,
-    intersecting_example,
     load_instance,
-    load_instance_file,
     random_instance,
     save_instance,
-    save_instance_file,
     worked_example,
 )
-from netform.instance_io import parse_fraction, to_csv
+from netform.datasets import intersecting_example
+from netform.instance_io import instance_to_document, load_instance_file, parse_fraction, to_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,7 +61,7 @@ def test_golden_documents_match_builtins():
 
 def test_file_round_trip(tmp_path):
     path = tmp_path / "inst.json"
-    save_instance_file(worked_example(), path)
+    path.write_text(save_instance(worked_example()), encoding="utf-8")
     assert load_instance_file(path) == worked_example()
 
 
@@ -181,6 +181,51 @@ def test_readme_instance_document_loads():
     assert inst.default_rule is ActivationRule.MUTUAL
     # the triple omits shares: its income is split evenly
     assert inst.coalitions[1].shares == {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}
+
+
+def test_readme_library_block_runs_and_shows_its_outputs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    scope: dict = {}
+    shown = []
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README", "exec"), scope)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README", "eval"), scope)
+        # an output the README shows is the comment line right below
+        below = lines[stmt.end_lineno] if stmt.end_lineno < len(lines) else ""
+        if below.startswith("# "):
+            assert below[2:].startswith(repr(value)), below
+            shown.append(value)
+    assert shown == [(19, 21, 24, 12, 18), (4,)]
+    # the entry points the README lists are exactly the package's exports
+    listed = readme.split("Key entry points:", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"`(\w+)`", listed)) == set(netform.__all__)
+
+
+def _pair_doc(income="1", share="1/2", cell="0") -> str:
+    return json.dumps({
+        "schema": "game-instance/1",
+        "players": 2,
+        "coalitions": [{"members": [1, 2], "income": income, "shares": {"1": share, "2": "1/2"}}],
+        "payoff_matrix": [["0", cell]],
+    })
+
+
+@pytest.mark.parametrize(
+    "field, where",
+    [
+        ({"income": "1e9"}, "coalitions[0].income"),
+        ({"share": "5E-1"}, "coalitions[0].shares['1']"),
+        ({"cell": "2e3"}, "payoff_matrix[0][1]"),
+    ],
+)
+def test_exponent_notation_is_refused(field, where):
+    with pytest.raises(DocumentError, match=r"exponent notation") as err:
+        load_instance(_pair_doc(**field))
+    assert str(err.value).startswith(where)
 
 
 def test_csv_export():

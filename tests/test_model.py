@@ -4,13 +4,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from netform import (
-    ActivationRule,
-    CoalitionSpec,
-    GameInstance,
-    OfferProfile,
-    validate_instance,
-)
+from netform import ActivationRule, CoalitionSpec, GameInstance
+from netform.formation import OfferProfile
+from netform.model import validate_instance
 
 
 def _inst(coalitions, n=5, **kwargs):

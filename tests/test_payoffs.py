@@ -13,14 +13,11 @@ from netform import (
     CoalitionSpec,
     GameInstance,
     Network,
-    active_coalitions,
     form_network,
-    is_active,
     payoff_vector,
-    profile_payoffs,
     worked_example,
 )
-from netform.payoffs import pair_graph, unlinking_arcs
+from netform.payoffs import active_coalitions, pair_graph, unlinking_arcs
 
 from oracles import coalition_triples, oracle_payoffs, random_adjacency
 
@@ -33,8 +30,8 @@ def test_linked_accepts_one_direction_mutual_does_not():
     g5 = form_network(inst.profiles[4])
     triple_345 = inst.coalitions[7]
     assert triple_345.members == (2, 3, 4)
-    assert is_active(triple_345, g5, LINKED)
-    assert not is_active(triple_345, g5, MUTUAL)
+    assert triple_345 in active_coalitions(inst, g5, LINKED)
+    assert triple_345 not in active_coalitions(inst, g5, MUTUAL)
 
 
 def test_pair_graph_per_rule():
@@ -59,9 +56,9 @@ def test_mutual_activation_implies_linked():
     inst = worked_example()
     for _ in range(200):
         g = Network.from_matrix(random_adjacency(rng, 5, rng.uniform(0.2, 0.9)))
-        for c in inst.coalitions:
-            if is_active(c, g, MUTUAL):
-                assert is_active(c, g, LINKED)
+        linked = active_coalitions(inst, g, LINKED)
+        for c in active_coalitions(inst, g, MUTUAL):
+            assert c in linked
 
 
 def test_active_coalitions_of_last_profile():
@@ -82,10 +79,10 @@ def test_profile_payoffs_equal_oracle_rows():
     inst = worked_example()
     triples = coalition_triples(inst)
     for rule in (MUTUAL, LINKED):
-        rows = profile_payoffs(inst, rule)
-        for k, profile in enumerate(inst.profiles):
-            g = [list(r) for r in form_network(profile).matrix()]
-            assert list(rows[k]) == oracle_payoffs(triples, g, rule.value)
+        for profile in inst.profiles:
+            net = form_network(profile)
+            g = [list(r) for r in net.matrix()]
+            assert list(payoff_vector(inst, net, rule)) == oracle_payoffs(triples, g, rule.value)
 
 
 def test_negative_income_flows_through():

@@ -14,7 +14,6 @@ from netform import (
     Network,
     OverlappingCoalitionsError,
     check_disjoint_stability,
-    find_overlapping_pair,
     form_network,
     is_stable,
     payoff_vector,
@@ -22,6 +21,7 @@ from netform import (
     restricted_equilibria,
     worked_example,
 )
+from netform.stability import MAX_CUT_SETS, find_overlapping_pair
 
 from oracles import (
     coalition_triples,
@@ -107,6 +107,17 @@ def test_network_size_mismatch_rejected():
         check_disjoint_stability(inst, Network.of(4, []), LINKED)
 
 
+def test_cut_set_limit_is_refused_before_any_search():
+    # player 0 could cut any of 2^21 - 1 sets of its 21 partners
+    inst = GameInstance(
+        n=22, coalitions=tuple(CoalitionSpec.of((0, k), -1) for k in range(1, 22))
+    )
+    star = Network.of(22, [a for k in range(1, 22) for a in ((0, k), (k, 0))])
+    assert 2**21 - 1 > MAX_CUT_SETS
+    with pytest.raises(ValueError, match="cut sets"):
+        is_stable(inst, star, LINKED)
+
+
 def test_brute_force_matches_oracle_on_random_cases():
     rng = random.Random(802)
     for _ in range(100):
@@ -184,6 +195,13 @@ def test_disjoint_verdict_and_witness():
     assert w.gain == Fraction(1)
     # the verdict agrees with brute force
     assert not is_stable(inst, shaky, LINKED).stable
+
+    # under MUTUAL one arc of the pair unlinks it, as in is_stable
+    pair = GameInstance(n=2, coalitions=(CoalitionSpec.of((0, 1), -2),))
+    both = Network.of(2, [(0, 1), (1, 0)])
+    w = check_disjoint_stability(pair, both, MUTUAL).witness
+    assert (w.player, w.removed_arcs, w.gain) == (0, ((0, 1),), Fraction(1))
+    assert w == is_stable(pair, both, MUTUAL).witness
 
 
 def test_zero_share_negative_coalition_is_stable_for_both_engines():
