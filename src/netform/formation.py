@@ -35,6 +35,10 @@ class OfferProfile:
             if len(m) != n or any(len(row) != n for row in m):
                 raise ValueError(f"{name} must be a square {n}x{n} matrix")
             for row in m:
+                # one pass per row at C speed; count compares by equality,
+                # as `in` does, so any cell the loop below refuses fails it
+                if row.count(0) + row.count(1) == len(row):
+                    continue
                 for v in row:
                     if v not in (0, 1):
                         raise ValueError(f"{name} entries must be 0 or 1, got {v!r}")

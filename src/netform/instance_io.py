@@ -73,18 +73,18 @@ def _expect(doc: dict, key: str, kind, where: str):
     return value
 
 
-def _parse_bit_matrix(value, where: str) -> list[list[int]]:
+def _parse_bit_matrix(value, where: str) -> tuple[tuple[int, ...], ...]:
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise DocumentError(f"{where}: expected a list of rows")
-    out = []
     for r, row in enumerate(value):
-        vals = []
+        # one pass per row at C speed; only a bad row is walked cell by
+        # cell, to name its first bad entry (a bool's type is not int)
+        if set(map(type, row)) <= {int} and {0, 1}.issuperset(row):
+            continue
         for c, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, int) or v not in (0, 1):
                 raise DocumentError(f"{where}[{r}][{c}]: entries must be 0 or 1")
-            vals.append(v)
-        out.append(vals)
-    return out
+    return tuple(map(tuple, value))
 
 
 def instance_from_document(doc) -> GameInstance:
@@ -131,7 +131,7 @@ def instance_from_document(doc) -> GameInstance:
             _expect(raw, "acceptances", list, where), f"{where}.acceptances"
         )
         try:
-            profiles.append(OfferProfile.of(offers, acceptances))
+            profiles.append(OfferProfile(offers, acceptances))
         except ValueError as exc:
             raise DocumentError(f"{where}: {exc}") from None
 

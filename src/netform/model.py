@@ -7,9 +7,11 @@ floats never enter the arithmetic.  Players are 0-based internally and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .formation import OfferProfile
 
@@ -73,6 +75,11 @@ class GameInstance:
     """A full problem instance: player count, coalition list, and
     optionally a list of offer/acceptance profiles plus a reference
     payoff table (one row per profile) carried along for comparison.
+
+    The first payoff computed on an instance compiles its coalitions into
+    `payoff_index`, which every later payoff reuses.  So the coalitions
+    must not be mutated after that point (`CoalitionSpec.shares` is a
+    dict).
     """
 
     n: int
@@ -88,6 +95,21 @@ class GameInstance:
         if self.default_rule is not None:
             return self.default_rule
         return ActivationRule.LINKED
+
+    @cached_property
+    def payoff_index(self):
+        """What a payoff needs from the coalitions, built on first use:
+        `(L, entries)`, where L is the least common denominator of every
+        share × income and `entries` holds, per coalition in instance
+        order, `(pairs, weights)`: the coalition's member pairs and
+        `(member, share × income × L)` as an int for each member paid a
+        nonzero amount."""
+        amounts = [[(m, c.share_of(m) * c.income) for m in c.members] for c in self.coalitions]
+        denominator = math.lcm(*(w.denominator for ws in amounts for _, w in ws))
+        return denominator, tuple(
+            (c.pairs(), tuple((m, w.numerator * (denominator // w.denominator)) for m, w in ws if w))
+            for c, ws in zip(self.coalitions, amounts)
+        )
 
 
 @dataclass(frozen=True)

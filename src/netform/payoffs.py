@@ -7,6 +7,12 @@ pair of its members is in the pair graph.  A player's payoff is the sum,
 over all active coalitions the player belongs to, of the player's share
 of that coalition's income; a player in no active coalition earns
 exactly 0.
+
+An instance compiles its coalitions once, on first use
+(`GameInstance.payoff_index`): each coalition's member pairs, and each
+member's share × income as an int over one common denominator.  Every
+later payoff only tests pairs against the graph and adds ints; the
+totals become exact `Fraction`s again at the end.
 """
 
 from __future__ import annotations
@@ -36,19 +42,27 @@ def unlinking_arcs(network: Network, i: int, j: int, rule: ActivationRule) -> tu
     return present[:1] if rule is ActivationRule.MUTUAL else present
 
 
+def _active(instance: GameInstance, network: Network, rule: ActivationRule) -> list[int]:
+    """Positions of the active coalitions, in instance order: a coalition
+    is active when the pair graph holds every pair of its members."""
+    graph = pair_graph(network, rule)
+    _, entries = instance.payoff_index
+    return [k for k, (pairs, _) in enumerate(entries) if graph.issuperset(pairs)]
+
+
 def active_coalitions(
     instance: GameInstance, network: Network, rule: ActivationRule
 ) -> tuple[CoalitionSpec, ...]:
     """The active coalitions, in instance order."""
-    graph = pair_graph(network, rule)
-    return tuple(c for c in instance.coalitions if graph.issuperset(c.pairs()))
+    return tuple(instance.coalitions[k] for k in _active(instance, network, rule))
 
 
 def payoff_vector(
     instance: GameInstance, network: Network, rule: ActivationRule
 ) -> PayoffVector:
-    totals = [Fraction(0)] * instance.n
-    for c in active_coalitions(instance, network, rule):
-        for m in c.members:
-            totals[m] += c.share_of(m) * c.income
-    return tuple(totals)
+    denominator, entries = instance.payoff_index
+    totals = [0] * instance.n
+    for k in _active(instance, network, rule):
+        for m, w in entries[k][1]:
+            totals[m] += w
+    return tuple(Fraction(t, denominator) for t in totals)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 
 from .formation import Arc, Network, form_network, remove_arcs
 from .model import ActivationRule, CoalitionSpec, GameInstance
@@ -114,10 +115,11 @@ def is_stable(
     best = None  # (-gain, player, len(removed), removed): the least key wins
     for player, stakes, partners in searches:
         arcs_to = {q: unlinking_arcs(network, player, q, rule) for q in partners}
-        cuts: list[tuple[int, ...]] = [()]
-        for q in partners:
-            cuts += [cut + (q,) for cut in cuts]
-        for cut in cuts[1:]:
+        # walked lazily: the least key does not depend on the visiting order
+        cuts = chain.from_iterable(
+            combinations(partners, k) for k in range(1, len(partners) + 1)
+        )
+        for cut in cuts:
             gain = -sum(w for others, w in stakes if not others.isdisjoint(cut))
             if gain <= 0:
                 continue

@@ -127,6 +127,30 @@ def test_profile_entries_must_be_bits():
         load_instance(json.dumps(doc))
 
 
+@pytest.mark.parametrize("later_bad", [False, True])
+@pytest.mark.parametrize("field", ["offers", "acceptances"])
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None, -1])
+def test_first_bad_profile_cell_is_named(field, bad, later_bad):
+    # valid cells come first in the row; a later bad cell, when there is
+    # one, must not be the one named
+    doc = instance_to_document(worked_example())
+    row = doc["profiles"][3][field][1]
+    row[2] = bad
+    if later_bad:
+        row[4] = 2
+    with pytest.raises(DocumentError, match=rf"profiles\[3\]\.{field}\[1\]\[2\]: entries must be 0 or 1"):
+        load_instance(json.dumps(doc))
+
+
+def test_loaded_profile_rows_are_tuples_of_ints():
+    loaded = load_instance(save_instance(worked_example()))
+    for profile in loaded.profiles:
+        for matrix in (profile.offers, profile.acceptances):
+            assert type(matrix) is tuple
+            assert all(type(row) is tuple for row in matrix)
+            assert {type(v) for row in matrix for v in row} == {int}
+
+
 def test_validation_errors_surface_on_load():
     doc = {
         "schema": "game-instance/1",

@@ -95,6 +95,14 @@ def test_negative_income_flows_through():
     assert payoff_vector(inst, net, MUTUAL) == (0, 0, 0)
 
 
+def networks(n):
+    arcs = st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=n - 1),
+    ).filter(lambda a: a[0] != a[1])
+    return st.sets(arcs, max_size=n * (n - 1)).map(lambda a: Network.of(n, a))
+
+
 @st.composite
 def coalition_families(draw):
     n = draw(st.integers(min_value=3, max_value=6))
@@ -111,16 +119,7 @@ def coalition_families(draw):
         members_seen.add(members)
         income = Fraction(draw(st.integers(min_value=-9, max_value=9)))
         coalitions.append(CoalitionSpec.of(members, income))
-    arcs = draw(
-        st.sets(
-            st.tuples(
-                st.integers(min_value=0, max_value=n - 1),
-                st.integers(min_value=0, max_value=n - 1),
-            ).filter(lambda a: a[0] != a[1]),
-            max_size=n * (n - 1),
-        )
-    )
-    return GameInstance(n=n, coalitions=tuple(coalitions)), Network.of(n, arcs)
+    return GameInstance(n=n, coalitions=tuple(coalitions)), draw(networks(n))
 
 
 @given(coalition_families(), st.sampled_from([MUTUAL, LINKED]))
@@ -146,3 +145,43 @@ def test_payoffs_are_additive_over_coalition_split(pair, rule):
         for a, b in zip(payoff_vector(left, net, rule), payoff_vector(right, net, rule))
     )
     assert combined == split
+
+
+@st.composite
+def weighted_families(draw):
+    """Instances with uneven shares (0 included) and fractional incomes,
+    so the common denominator of the int weights runs well past 3."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    member_sets = draw(
+        st.lists(
+            st.sets(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=3),
+            min_size=1,
+            max_size=5,
+            unique_by=frozenset,
+        )
+    )
+    fractions = st.builds(
+        Fraction, st.integers(min_value=-24, max_value=24), st.integers(min_value=1, max_value=12)
+    )
+    coalitions = []
+    for members in member_sets:
+        members = tuple(sorted(members))
+        raw = draw(st.lists(st.integers(min_value=0, max_value=5), min_size=len(members), max_size=len(members)))
+        scale = sum(raw) or 1
+        shares = {m: Fraction(r, scale) for m, r in zip(members, raw)}
+        coalitions.append(CoalitionSpec.of(members, draw(fractions), shares))
+    return GameInstance(n=n, coalitions=tuple(coalitions)), draw(networks(n))
+
+
+@given(weighted_families())
+@settings(max_examples=200)
+def test_int_weight_payoffs_equal_oracle(pair):
+    inst, net = pair
+    g = [list(r) for r in net.matrix()]
+    for rule in (MUTUAL, LINKED):
+        vec = payoff_vector(inst, net, rule)
+        assert list(vec) == oracle_payoffs(coalition_triples(inst), g, rule.value)
+        assert all(type(v) is Fraction for v in vec)
+        paid = {m for c in active_coalitions(inst, net, rule) for m in c.members}
+        for p in set(range(inst.n)) - paid:
+            assert vec[p] == Fraction(0) and type(vec[p]) is Fraction

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,30 @@ def test_cut_set_limit_is_refused_before_any_search():
     assert 2**21 - 1 > MAX_CUT_SETS
     with pytest.raises(ValueError, match="cut sets"):
         is_stable(inst, star, LINKED)
+
+
+def test_cut_set_search_memory_stays_flat():
+    # player 0 linked both ways to 12 partners: 4,095 cut sets, walked
+    # one at a time instead of held in a list (0.42 MiB when listed)
+    k = 12
+    inst = GameInstance(
+        n=k + 1,
+        coalitions=tuple(CoalitionSpec.of((0, q), -1 if q % 2 else 1) for q in range(1, k + 1)),
+    )
+    star = Network.of(k + 1, [a for q in range(1, k + 1) for a in ((0, q), (q, 0))])
+    tracemalloc.start()
+    try:
+        report = is_stable(inst, star, LINKED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20
+    # cutting every odd partner switches off exactly the losing pairs
+    assert report.witness.player == 0
+    assert report.witness.gain == Fraction(k // 2, 2)
+    assert report.witness.removed_arcs == tuple(
+        sorted(a for q in range(1, k + 1, 2) for a in ((0, q), (q, 0)))
+    )
 
 
 def test_brute_force_matches_oracle_on_random_cases():
