@@ -9,7 +9,9 @@ caller asked to be flagged), 2 usage, parse, or precondition errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -140,21 +142,26 @@ def cmd_form(args) -> int:
 # ---- payoffs
 
 
-def _profile_worker(payload):
+def _profile_worker(engine, instance, rule, index):
     """One engine call (payoff_vector or is_stable) on a stored profile's network."""
-    engine, instance, index, rule = payload
     return engine(instance, form_network(instance.profiles[index]), rule)
 
 
-def _map_jobs(worker, payloads, jobs: int):
+def _map_profiles(engine, instance: GameInstance, rule, jobs: int) -> list:
+    """The engine's result for every stored profile, in order, from
+    `jobs` processes.  Each process gets one chunk of profiles, so the
+    instance is pickled once per process, not once per profile."""
+    worker = functools.partial(_profile_worker, engine, instance, rule)
+    indices = range(len(instance.profiles))
     if jobs > 1:
         # imported here: the pool pulls in multiprocessing, which every
         # other command would pay for at start-up
         from concurrent.futures import ProcessPoolExecutor
 
+        chunk = max(1, math.ceil(len(indices) / jobs))  # a map with no profiles still needs 1
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, payloads))
-    return [worker(p) for p in payloads]
+            return list(pool.map(worker, indices, chunksize=chunk))
+    return [worker(k) for k in indices]
 
 
 def _payoffs_text(record: dict, grid: list[list[str]]) -> str:
@@ -172,8 +179,7 @@ def _payoffs_text(record: dict, grid: list[list[str]]) -> str:
 def cmd_payoffs(args) -> int:
     instance = _load(args.instance, args.strict)
     rule = _rule(instance, args)
-    payloads = [(payoff_vector, instance, k, rule) for k in range(len(instance.profiles))]
-    vectors = _map_jobs(_profile_worker, payloads, args.jobs)
+    vectors = _map_profiles(payoff_vector, instance, rule, args.jobs)
     record = {
         "rule": rule.value,
         "payoffs": [[str(v) for v in vec] for vec in vectors],
@@ -257,8 +263,7 @@ def cmd_equilibria(args) -> int:
         }
         _emit(args.format, record, _restricted_grid, _restricted_text)
     else:
-        payloads = [(is_stable, instance, k, rule) for k in range(len(instance.profiles))]
-        reports = _map_jobs(_profile_worker, payloads, args.jobs)
+        reports = _map_profiles(is_stable, instance, rule, args.jobs)
         failed = any(not r.stable for r in reports)
         items = []
         for k, rep in enumerate(reports):

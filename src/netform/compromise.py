@@ -13,10 +13,9 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class PayoffMatrix:
-    """A payoff table with one label per row.  Never empty."""
+    """A payoff table: rows are outcomes, columns are players.  Never empty."""
 
     rows: tuple[tuple[Fraction, ...], ...]
-    labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not self.rows:
@@ -26,15 +25,10 @@ class PayoffMatrix:
             raise ValueError("payoff matrix needs at least one column")
         if any(len(r) != width for r in self.rows):
             raise ValueError("payoff matrix rows must have equal length")
-        if len(self.labels) != len(self.rows):
-            raise ValueError("need exactly one label per row")
 
     @classmethod
-    def of(cls, rows, labels=None) -> PayoffMatrix:
-        frozen = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        if labels is None:
-            labels = tuple(str(i + 1) for i in range(len(frozen)))
-        return cls(frozen, tuple(str(x) for x in labels))
+    def of(cls, rows) -> PayoffMatrix:
+        return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
 
     @property
     def n_players(self) -> int:

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 import random
 
-from .formation import Network, OfferProfile
+from .formation import OfferProfile
 from .model import ActivationRule, CoalitionSpec, GameInstance
 
 
@@ -131,9 +131,9 @@ def intersecting_example() -> GameInstance:
     with negative income, every share 1/3.
 
     Because the coalitions overlap, the fast disjoint stability criterion
-    refuses this instance; brute force still shows the companion network
-    (see intersecting_example_network) is stable.  Activation defaults to
-    MUTUAL, matching the all-links-present reading of its source.
+    refuses this instance; brute force still shows that the companion
+    network, formed by its one profile, is stable.  Activation defaults
+    to MUTUAL, matching the all-links-present reading of its source.
     """
     adjacency = [[0] * 5 for _ in range(5)]
     for a, b in _INTERSECTING_PAIRS:
@@ -151,15 +151,6 @@ def intersecting_example() -> GameInstance:
         profiles=(profile,),
         default_rule=ActivationRule.MUTUAL,
     )
-
-
-def intersecting_example_network() -> Network:
-    """The 16-arc symmetric companion network of intersecting_example."""
-    arcs = set()
-    for a, b in _INTERSECTING_PAIRS:
-        arcs.add((a - 1, b - 1))
-        arcs.add((b - 1, a - 1))
-    return Network(5, frozenset(arcs))
 
 
 BUILTIN = {

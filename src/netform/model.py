@@ -76,10 +76,10 @@ class GameInstance:
     optionally a list of offer/acceptance profiles plus a reference
     payoff table (one row per profile) carried along for comparison.
 
-    The first payoff computed on an instance compiles its coalitions into
-    `payoff_index`, which every later payoff reuses.  So the coalitions
-    must not be mutated after that point (`CoalitionSpec.shares` is a
-    dict).
+    The first payoff or stability check on an instance compiles its
+    coalitions into `payoff_index`, which every later one reuses.  So
+    the coalitions must not be mutated after that point
+    (`CoalitionSpec.shares` is a dict).
     """
 
     n: int
@@ -98,16 +98,22 @@ class GameInstance:
 
     @cached_property
     def payoff_index(self):
-        """What a payoff needs from the coalitions, built on first use:
-        `(L, entries)`, where L is the least common denominator of every
-        share × income and `entries` holds, per coalition in instance
-        order, `(pairs, weights)`: the coalition's member pairs and
-        `(member, share × income × L)` as an int for each member paid a
-        nonzero amount."""
+        """What payoffs and both stability engines need from the
+        coalitions, built on first use: `(L, entries)`, where L is the
+        least common denominator of every share × income and `entries`
+        holds, per coalition in instance order, `(pairs, stakes)`: the
+        coalition's member pairs and `(member, co-members, share × income
+        × L)` for each member paid a nonzero amount, the co-members as a
+        frozenset and the amount as an int.  This is the only place that
+        turns shares and incomes into payments."""
         amounts = [[(m, c.share_of(m) * c.income) for m in c.members] for c in self.coalitions]
         denominator = math.lcm(*(w.denominator for ws in amounts for _, w in ws))
         return denominator, tuple(
-            (c.pairs(), tuple((m, w.numerator * (denominator // w.denominator)) for m, w in ws if w))
+            (c.pairs(), tuple(
+                (m, c.member_set() - {m}, w.numerator * (denominator // w.denominator))
+                for m, w in ws
+                if w
+            ))
             for c, ws in zip(self.coalitions, amounts)
         )
 

@@ -10,9 +10,10 @@ exactly 0.
 
 An instance compiles its coalitions once, on first use
 (`GameInstance.payoff_index`): each coalition's member pairs, and each
-member's share × income as an int over one common denominator.  Every
-later payoff only tests pairs against the graph and adds ints; the
-totals become exact `Fraction`s again at the end.
+paid member's co-members and share × income as an int over one common
+denominator.  Payoffs and both stability engines read that index: they
+only test pairs against the graph and add ints, and the totals become
+exact `Fraction`s again at the end.
 """
 
 from __future__ import annotations
@@ -63,6 +64,6 @@ def payoff_vector(
     denominator, entries = instance.payoff_index
     totals = [0] * instance.n
     for k in _active(instance, network, rule):
-        for m, w in entries[k][1]:
+        for m, _, w in entries[k][1]:
             totals[m] += w
     return tuple(Fraction(t, denominator) for t in totals)

@@ -41,7 +41,7 @@ from netform import (
     restricted_equilibria,
     worked_example,
 )
-from netform.datasets import intersecting_example, intersecting_example_network
+from netform.datasets import intersecting_example
 from netform.formation import remove_arcs
 from netform.payoffs import active_coalitions, unlinking_arcs
 from netform.stability import ReachableDeviation
@@ -264,7 +264,7 @@ def test_compromise_reproduction(capsys):
 def test_small_example_stability(capsys):
     def body():
         inst = intersecting_example()
-        net = intersecting_example_network()
+        net = form_network(inst.profiles[0])
         rule = inst.rule_or(None)
         assert rule is MUTUAL
 

@@ -87,6 +87,23 @@ def test_payoffs_json_is_deterministic_and_jobs_invariant(capsys):
     } in payload["reference_mismatches"]
 
 
+@pytest.mark.parametrize("command", [["payoffs"], ["equilibria", "--mode", "full"]])
+def test_jobs_pickles_the_instance_once_per_process(capsys, monkeypatch, command):
+    # the worked example has 10 profiles: two chunks of five, one per process
+    pickled = []
+    reduce_ex = netform.GameInstance.__reduce_ex__
+
+    def counting(self, protocol):
+        pickled.append(self)
+        return reduce_ex(self, protocol)
+
+    monkeypatch.setattr(netform.GameInstance, "__reduce_ex__", counting)
+    code, parallel, _ = run(capsys, *command, "worked-example", "--jobs", "2")
+    assert len(worked_example().profiles) >= 8
+    assert 1 <= len(pickled) <= 2
+    assert (code, parallel) == run(capsys, *command, "worked-example")[:2]
+
+
 def test_payoffs_rule_override(capsys):
     code, out, _ = run(capsys, "payoffs", "worked-example", "--rule", "mutual", "--format", "csv")
     assert code == 0

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from netform import ActivationRule, form_network, random_instance, worked_example
-from netform.datasets import intersecting_example, intersecting_example_network
+from netform.datasets import intersecting_example
 from netform.model import validate_instance
 from netform.stability import find_overlapping_pair
 
@@ -54,13 +54,14 @@ def test_intersecting_example_shape():
 
 
 def test_intersecting_network_is_symmetric_sixteen_arcs():
-    net = intersecting_example_network()
+    net = form_network(intersecting_example().profiles[0])
     assert len(net.arcs) == 16
     for i, j in net.arcs:
         assert (j, i) in net.arcs
-    # the bundled profile forms exactly this network
-    inst = intersecting_example()
-    assert form_network(inst.profiles[0]) == net
+    # the companion network's eight pairs, 0-based
+    assert {(i, j) for i, j in net.arcs if i < j} == {
+        (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4), (3, 4),
+    }
 
 
 def test_generator_is_deterministic():

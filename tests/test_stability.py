@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -171,6 +173,51 @@ def test_brute_force_matches_oracle_on_random_cases():
             assert report.witness.removed_arcs == removed
 
 
+def test_integer_stakes_match_oracle_with_uneven_shares():
+    # shares such as 1/12 and 5/4 and incomes over denominators dividing 12
+    # put the stakes' common denominator well past 2
+    rng = random.Random(1812)
+    shares = [Fraction(s) for s in ("0", "1/12", "1/3", "1/2", "2/3", "1", "5/4")]
+    for case in range(200):
+        n = rng.randint(2, 6)
+        candidates = list(combinations(range(n), 2)) + list(combinations(range(n), 3))
+        rng.shuffle(candidates)
+        chosen = []
+        for members in candidates[: rng.randint(1, 6)]:
+            # every other case keeps only coalitions that share no pair
+            if case % 2 or all(len(set(members) & set(c)) < 2 for c in chosen):
+                chosen.append(members)
+        inst = GameInstance(n=n, coalitions=tuple(
+            CoalitionSpec.of(
+                members,
+                Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6, 12))),
+                {m: rng.choice(shares) for m in members},
+            )
+            for members in chosen
+        ))
+        g = random_adjacency(rng, n, rng.uniform(0.3, 1.0))
+        net = Network.from_matrix(g)
+        for rule in (MUTUAL, LINKED):
+            report = is_stable(inst, net, rule)
+            stable, best = oracle_best_deviation(coalition_triples(inst), g, rule.value)
+            assert report.stable == stable
+            if not stable:
+                w = report.witness
+                assert (w.gain, w.player, w.removed_arcs) == best
+                assert type(w.gain) is Fraction
+            if find_overlapping_pair(inst) is not None:
+                continue
+            fast = check_disjoint_stability(inst, net, rule)
+            assert fast.stable == stable
+            if not stable:
+                p, removed = fast.witness.player, fast.witness.removed_arcs
+                q = next(m for m in removed[0] if m != p)
+                [c] = [c for c in inst.coalitions if {p, q} <= set(c.members)]
+                assert fast.witness.gain == -c.share_of(p) * c.income
+                assert type(fast.witness.gain) is Fraction
+                assert fast.witness.gain <= report.witness.gain
+
+
 def test_all_nonnegative_incomes_means_any_network_is_stable():
     # breaking arcs can only deactivate coalitions, so with nothing to
     # escape there is never a profitable deviation, overlap or not
@@ -196,6 +243,26 @@ def test_overlap_detection_names_first_pair():
     assert pair[1].label() == "(1,4,5)"
     with pytest.raises(OverlappingCoalitionsError, match=r"\(1,3,4\).*\(1,4,5\)"):
         check_disjoint_stability(inst, form_network(inst.profiles[0]), LINKED)
+
+
+def test_overlap_search_matches_member_set_definition():
+    # the first (a, b) in position order whose member sets share two players
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        cap = min(8, comb(n, 2) + comb(n, 3))
+        inst = random_instance(seed=rng.randrange(10 ** 6), n=n, coalition_count=rng.randint(0, cap))
+        cs = inst.coalitions
+        expected = next(
+            (
+                (cs[a], cs[b])
+                for a in range(len(cs))
+                for b in range(a + 1, len(cs))
+                if len(set(cs[a].members) & set(cs[b].members)) >= 2
+            ),
+            None,
+        )
+        assert find_overlapping_pair(inst) == expected
 
 
 def test_disjoint_verdict_and_witness():
