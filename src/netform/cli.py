@@ -12,10 +12,11 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
-from .compromise import PayoffMatrix, compromise_solution, regret_vectors
+from .compromise import PayoffMatrix, compromise_solution
 from .datasets import BUILTIN, random_instance
 from .formation import Network, form_network
 from .instance_io import (
@@ -148,18 +149,20 @@ def _profile_worker(engine, instance, rule, index):
 
 
 def _map_profiles(engine, instance: GameInstance, rule, jobs: int) -> list:
-    """The engine's result for every stored profile, in order, from
-    `jobs` processes.  Each process gets one chunk of profiles, so the
-    instance is pickled once per process, not once per profile."""
+    """The engine's result for every stored profile, in order, from at
+    most `jobs` processes, and never more processes than profiles or
+    CPUs.  Each process gets one chunk of profiles, so the instance is
+    pickled once per process, not once per profile."""
     worker = functools.partial(_profile_worker, engine, instance, rule)
     indices = range(len(instance.profiles))
-    if jobs > 1:
+    workers = min(jobs, len(indices), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: the pool pulls in multiprocessing, which every
         # other command would pay for at start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, math.ceil(len(indices) / jobs))  # a map with no profiles still needs 1
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = math.ceil(len(indices) / workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, indices, chunksize=chunk))
     return [worker(k) for k in indices]
 
@@ -309,7 +312,7 @@ def cmd_compromise(args) -> int:
     matrix = PayoffMatrix.of(rows)
     report = compromise_solution(matrix, refine_ties=args.refine_ties)
     shown = (
-        regret_vectors(matrix, ascending=True) if args.sorted else report.regrets
+        [sorted(row) for row in report.regrets] if args.sorted else report.regrets
     )
     record = {
         "source": args.source,
@@ -379,6 +382,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _job_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netform",
@@ -412,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_jobs(p):
         p.add_argument(
             "--jobs",
-            type=int,
+            type=_job_count,
             default=1,
             metavar="N",
             help="compute profiles in N processes (output is identical)",

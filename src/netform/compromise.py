@@ -60,12 +60,12 @@ def regret_vectors(
     """Per-row regrets against the ideal vector, in player order, or with
     each row sorted ascending when requested (a presentation choice that
     never feeds back into the selection)."""
-    ideal = ideal_vector(matrix)
-    out = []
-    for row in matrix.rows:
-        regret = tuple(ideal[j] - row[j] for j in range(matrix.n_players))
-        out.append(tuple(sorted(regret)) if ascending else regret)
-    return tuple(out)
+    regrets = _regrets(matrix, ideal_vector(matrix))
+    return tuple(tuple(sorted(r)) for r in regrets) if ascending else regrets
+
+
+def _regrets(matrix: PayoffMatrix, ideal) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(i - v for i, v in zip(ideal, row)) for row in matrix.rows)
 
 
 def compromise_solution(
@@ -77,7 +77,8 @@ def compromise_solution(
     sorted descending, keeping only the lexicographically smallest; the
     headline value is unchanged by refinement.
     """
-    regrets = regret_vectors(matrix)
+    ideal = ideal_vector(matrix)
+    regrets = _regrets(matrix, ideal)
     row_max = tuple(max(r) for r in regrets)
     value = min(row_max)
     solutions = tuple(i for i, m in enumerate(row_max) if m == value)
@@ -86,7 +87,7 @@ def compromise_solution(
         best = min(keyed.values())
         solutions = tuple(i for i in solutions if keyed[i] == best)
     return CompromiseReport(
-        ideal=ideal_vector(matrix),
+        ideal=ideal,
         regrets=regrets,
         row_max=row_max,
         value=value,

@@ -2,19 +2,80 @@
 
 Players are indexed 0..n-1 internally.  An arc (i, j) means i maintains a
 link toward j; self-arcs are never allowed in a formed network.
+
+Whole matrices are packed, so that forming a network and comparing two
+of them are a few operations on bytes and ints, not a loop over cells.
+A profile matrix is a tuple of `bytes` rows, one byte 0 or 1 per cell,
+so `offers[i][j]` is still an int.  A network is one int `mask` whose
+bit i*n + j is arc (i, j); its arc set is built from the mask only when
+something asks for it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache, cached_property
+from itertools import chain
 
 Arc = tuple[int, int]
-Matrix = tuple[tuple[int, ...], ...]
+Matrix = tuple[bytes, ...]
+
+_CELL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_CELLS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _as_matrix(rows) -> Matrix:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+def _mask_of(digits) -> int:
+    """The int whose bit k is digits[k], a "0" or "1" as str or bytes."""
+    return int(digits[::-1] or "0", 2)
+
+
+def _digits_of(mask: int, size: int) -> str:
+    """The `size` lowest bits of mask as "0"/"1" characters, bit 0 first."""
+    return bin(mask | 1 << size)[:2:-1]
+
+
+def _transposed(cells, n: int):
+    """The transpose of a flat row-major n×n cell string (str or bytes):
+    row i of the result is column i, read by slicing."""
+    return cells[:0].join(cells[i::n] for i in range(n))
+
+
+def transposed(mask: int, n: int) -> int:
+    """The mask of the network with every arc reversed."""
+    return _mask_of(_transposed(_digits_of(mask, n * n), n))
+
+
+@cache
+def diagonal(n: int) -> int:
+    """The mask of the n self-arcs (i, i)."""
+    return _mask_of(("1" + "0" * n) * n)
+
+
+@cache
+def upper(n: int) -> int:
+    """The mask of the arcs (i, j) with i < j: one bit per unordered pair."""
+    return _mask_of("".join("0" * (i + 1) + "1" * (n - i - 1) for i in range(n)))
+
+
+@cache
+def stars(n: int) -> tuple[int, ...]:
+    """Per player p, the mask of every arc that touches p."""
+    first_column = sum(1 << (i * n) for i in range(n))
+    row = (1 << n) - 1
+    return tuple(row << (p * n) | first_column << p for p in range(n))
+
+
+def _refuse_cells(matrices) -> None:
+    """Raise the first refusal of a pair of int matrices, in the order
+    `OfferProfile` checks them: shape, then cells, matrix by matrix."""
+    n = len(matrices[0])
+    for name, m in zip(("offers", "acceptances"), matrices):
+        if len(m) != n or any(len(row) != n for row in m):
+            raise ValueError(f"{name} must be a square {n}x{n} matrix")
+        for v in chain.from_iterable(m):
+            if v not in (0, 1):
+                raise ValueError(f"{name} entries must be 0 or 1, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -23,7 +84,8 @@ class OfferProfile:
 
     offers[i][j] == 1 means player i offers a link to player j;
     acceptances[i][j] == 1 means player i accepts a link offered by j.
-    Diagonal entries are tolerated on input but can never yield an arc.
+    Each matrix is a tuple of `bytes` rows.  Diagonal entries are
+    tolerated on input but can never yield an arc.
     """
 
     offers: Matrix
@@ -32,20 +94,21 @@ class OfferProfile:
     def __post_init__(self) -> None:
         n = len(self.offers)
         for name, m in (("offers", self.offers), ("acceptances", self.acceptances)):
-            if len(m) != n or any(len(row) != n for row in m):
+            if len(m) != n or not set(map(len, m)) <= {n}:
                 raise ValueError(f"{name} must be a square {n}x{n} matrix")
-            for row in m:
-                # one pass per row at C speed; count compares by equality,
-                # as `in` does, so any cell the loop below refuses fails it
-                if row.count(0) + row.count(1) == len(row):
-                    continue
-                for v in row:
-                    if v not in (0, 1):
-                        raise ValueError(f"{name} entries must be 0 or 1, got {v!r}")
+            bad = b"".join(m).translate(None, b"\x00\x01")
+            if bad:
+                raise ValueError(f"{name} entries must be 0 or 1, got {bad[0]!r}")
 
     @classmethod
     def of(cls, offers, acceptances) -> OfferProfile:
-        return cls(_as_matrix(offers), _as_matrix(acceptances))
+        matrices = [[[int(v) for v in row] for row in m] for m in (offers, acceptances)]
+        try:
+            packed = [tuple(map(bytes, m)) for m in matrices]
+        except ValueError:  # a cell outside 0..255, refused in bytes' own words
+            _refuse_cells(matrices)
+            raise
+        return cls(*packed)
 
     @property
     def n(self) -> int:
@@ -54,74 +117,90 @@ class OfferProfile:
 
 @dataclass(frozen=True)
 class Network:
-    """A loop-free directed network on players 0..n-1."""
+    """A loop-free directed network on players 0..n-1, packed into one
+    int: bit i*n + j of `mask` is set exactly when arc (i, j) is present."""
 
     n: int
-    arcs: frozenset[Arc]
+    mask: int
 
     def __post_init__(self) -> None:
-        for i, j in self.arcs:
-            if i == j:
-                raise ValueError(f"self-arc ({i}, {j}) not allowed")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"arc ({i}, {j}) out of range for n={self.n}")
+        if self.mask < 0 or self.mask >> (self.n * self.n):
+            raise ValueError(f"mask {self.mask} out of range for n={self.n}")
+        loops = self.mask & diagonal(self.n)
+        if loops:
+            i = (loops.bit_length() - 1) // (self.n + 1)
+            raise ValueError(f"self-arc ({i}, {i}) not allowed")
+
+    @cached_property
+    def arcs(self) -> frozenset[Arc]:
+        """The arcs as (i, j) pairs, built from the mask on first use."""
+        return frozenset(
+            divmod(k, self.n)
+            for k, d in enumerate(_digits_of(self.mask, self.n * self.n))
+            if d == "1"
+        )
+
+    def has(self, i: int, j: int) -> bool:
+        """Whether arc (i, j) is present."""
+        return 0 <= i < self.n and 0 <= j < self.n and bool(self.mask >> (i * self.n + j) & 1)
 
     @classmethod
     def of(cls, n: int, arcs) -> Network:
-        return cls(n, frozenset((int(i), int(j)) for i, j in arcs))
+        arcs = frozenset((int(i), int(j)) for i, j in arcs)
+        mask = 0
+        for i, j in arcs:
+            if i == j:
+                raise ValueError(f"self-arc ({i}, {j}) not allowed")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"arc ({i}, {j}) out of range for n={n}")
+            mask |= 1 << (i * n + j)
+        return cls(n, mask)
 
     @classmethod
     def from_matrix(cls, rows) -> Network:
         """Network of a square 0/1 adjacency matrix given as a list of
-        rows; the diagonal is ignored.  Anything else, including cells
+        rows, such as `matrix()` returns; the diagonal is ignored.  Anything else, including cells
         such as True or "1", raises ValueError."""
         if not isinstance(rows, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) for row in rows
+            isinstance(row, (list, tuple, bytes)) for row in rows
         ):
             raise ValueError("adjacency matrix must be a list of rows")
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("adjacency matrix must be square")
-        arcs = set()
-        for i in range(n):
-            for j in range(n):
-                v = rows[i][j]
-                if type(v) is not int or v not in (0, 1):
-                    raise ValueError(f"adjacency entries must be 0 or 1, got {v!r}")
-                if v and i != j:
-                    arcs.add((i, j))
-        return cls(n, frozenset(arcs))
+        for v in chain.from_iterable(rows):
+            if type(v) is not int or v not in (0, 1):
+                raise ValueError(f"adjacency entries must be 0 or 1, got {v!r}")
+        cells = bytes(chain.from_iterable(rows))
+        return cls(n, _mask_of(cells.translate(_CELL_DIGITS)) & ~diagonal(n))
 
     def matrix(self) -> Matrix:
-        return tuple(
-            tuple(1 if (i, j) in self.arcs else 0 for j in range(self.n))
-            for i in range(self.n)
-        )
+        """The adjacency matrix, as `bytes` rows of 0/1 cells."""
+        cells = _digits_of(self.mask, self.n * self.n).encode().translate(_DIGIT_CELLS)
+        return tuple(cells[i * self.n:(i + 1) * self.n] for i in range(self.n))
 
 
 def form_network(profile: OfferProfile) -> Network:
     """Form the network that a profile induces: arc (i, j) exists exactly
     when i offers to j and j accepts from i.
 
-    A mutual self-consent (both diagonals set at i) would create a loop;
-    it is stripped with a warning instead.
+    The offers, and the acceptances read column by column, become two
+    masks, and the network is their AND.  A mutual self-consent (both
+    diagonals set at i) would create a loop; it is stripped with a
+    warning instead.
     """
     n = profile.n
-    arcs = set()
-    stripped = []
-    for i in range(n):
-        for j in range(n):
-            if profile.offers[i][j] and profile.acceptances[j][i]:
-                if i == j:
-                    stripped.append(i)
-                else:
-                    arcs.add((i, j))
-    if stripped:
+    offered = _mask_of(b"".join(profile.offers).translate(_CELL_DIGITS))
+    accepted = _mask_of(_transposed(b"".join(profile.acceptances), n).translate(_CELL_DIGITS))
+    mask = offered & accepted
+    loops = mask & diagonal(n)
+    if loops:
+        stripped = [i for i in range(n) if loops >> (i * (n + 1)) & 1]
         warnings.warn(
             f"stripped self-arc(s) at player(s) {[p + 1 for p in stripped]}",
             stacklevel=2,
         )
-    return Network(n, frozenset(arcs))
+    return Network(n, mask ^ loops)
 
 
 def remove_arcs(network: Network, arcs) -> Network:
@@ -129,8 +208,9 @@ def remove_arcs(network: Network, arcs) -> Network:
 
     Every arc to remove must be present; removing an absent arc is an error.
     """
+    n = network.n
     to_remove = set((int(i), int(j)) for i, j in arcs)
-    missing = to_remove - network.arcs
+    missing = [a for a in to_remove if not network.has(*a)]
     if missing:
         raise ValueError(f"arcs not present: {sorted(missing)}")
-    return Network(network.n, network.arcs - to_remove)
+    return Network(n, network.mask & ~sum(1 << (i * n + j) for i, j in to_remove))

@@ -13,6 +13,7 @@ import io
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .formation import OfferProfile
@@ -73,18 +74,25 @@ def _expect(doc: dict, key: str, kind, where: str):
     return value
 
 
-def _parse_bit_matrix(value, where: str) -> tuple[tuple[int, ...], ...]:
+def _parse_bit_matrix(value, where: str) -> tuple[bytes, ...]:
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise DocumentError(f"{where}: expected a list of rows")
+    # one C-level 0/1 check and one type pass per matrix (bytes() takes
+    # a bool as 0/1, but its type is not int)
+    try:
+        rows = tuple(map(bytes, value))
+        if not b"".join(rows).translate(None, b"\x00\x01") and set(
+            map(type, chain.from_iterable(value))
+        ) <= {int}:
+            return rows
+    except (TypeError, ValueError):
+        pass
+    # a refused matrix is walked cell by cell, to name its first bad entry
     for r, row in enumerate(value):
-        # one pass per row at C speed; only a bad row is walked cell by
-        # cell, to name its first bad entry (a bool's type is not int)
-        if set(map(type, row)) <= {int} and {0, 1}.issuperset(row):
-            continue
         for c, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, int) or v not in (0, 1):
+            if type(v) is not int or v not in (0, 1):
                 raise DocumentError(f"{where}[{r}][{c}]: entries must be 0 or 1")
-    return tuple(map(tuple, value))
+    raise AssertionError(f"{where}: refused, yet every cell is 0 or 1")
 
 
 def instance_from_document(doc) -> GameInstance:

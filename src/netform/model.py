@@ -66,6 +66,16 @@ class CoalitionSpec:
             (ms[a], ms[b]) for a in range(len(ms)) for b in range(a + 1, len(ms))
         )
 
+    def pair_mask(self, n: int) -> int:
+        """The member pairs as a pair-graph mask on n players: bit
+        low*n + high per pair.  A pair that no n-player network links (a
+        repeated or out-of-range member) sets bit n*n, which no pair
+        graph holds."""
+        mask = 0
+        for i, j in self.pairs():
+            mask |= 1 << (i * n + j if 0 <= i < j < n else n * n)
+        return mask
+
     def label(self) -> str:
         return "(" + ",".join(str(m + 1) for m in self.members) + ")"
 
@@ -102,14 +112,14 @@ class GameInstance:
         coalitions, built on first use: `(L, entries)`, where L is the
         least common denominator of every share × income and `entries`
         holds, per coalition in instance order, `(pairs, stakes)`: the
-        coalition's member pairs and `(member, co-members, share × income
+        coalition's `pair_mask` and `(member, co-members, share × income
         × L)` for each member paid a nonzero amount, the co-members as a
         frozenset and the amount as an int.  This is the only place that
         turns shares and incomes into payments."""
         amounts = [[(m, c.share_of(m) * c.income) for m in c.members] for c in self.coalitions]
         denominator = math.lcm(*(w.denominator for ws in amounts for _, w in ws))
         return denominator, tuple(
-            (c.pairs(), tuple(
+            (c.pair_mask(self.n), tuple(
                 (m, c.member_set() - {m}, w.numerator * (denominator // w.denominator))
                 for m, w in ws
                 if w

@@ -8,38 +8,41 @@ over all active coalitions the player belongs to, of the player's share
 of that coalition's income; a player in no active coalition earns
 exactly 0.
 
-An instance compiles its coalitions once, on first use
-(`GameInstance.payoff_index`): each coalition's member pairs, and each
-paid member's co-members and share × income as an int over one common
-denominator.  Payoffs and both stability engines read that index: they
-only test pairs against the graph and add ints, and the totals become
-exact `Fraction`s again at the end.
+The pair graph is a mask, like the network it comes from: bit
+low*n + high stands for the pair {low, high}.  An instance compiles its
+coalitions once, on first use (`GameInstance.payoff_index`): each
+coalition's pair mask, and each paid member's co-members and share ×
+income as an int over one common denominator.  A coalition with pair
+mask m is active in graph g when `g & m == m`.  Payoffs and both
+stability engines read that index: they only AND masks and add ints,
+and the totals become exact `Fraction`s again at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .formation import Arc, Network
+from .formation import Arc, Network, transposed, upper
 from .model import ActivationRule, CoalitionSpec, GameInstance
 
 PayoffVector = tuple[Fraction, ...]
 
 
-def pair_graph(network: Network, rule: ActivationRule) -> frozenset[tuple[int, int]]:
-    """The unordered pairs (low, high) that count as linked: MUTUAL needs
-    both arcs of the pair, LINKED at least one."""
-    arcs = network.arcs
-    if rule is ActivationRule.MUTUAL:
-        return frozenset((i, j) for i, j in arcs if i < j and (j, i) in arcs)
-    return frozenset((i, j) if i < j else (j, i) for i, j in arcs)
+def pair_graph(network: Network, rule: ActivationRule) -> int:
+    """The unordered pairs (low, high) that count as linked, as a mask
+    with bit low*n + high for each: MUTUAL needs both arcs of the pair,
+    LINKED at least one."""
+    g = network.mask
+    back = transposed(g, network.n)
+    linked = g & back if rule is ActivationRule.MUTUAL else g | back
+    return linked & upper(network.n)
 
 
 def unlinking_arcs(network: Network, i: int, j: int, rule: ActivationRule) -> tuple[Arc, ...]:
     """The least arcs, sorted, whose removal takes the linked pair {i, j}
     out of the pair graph: MUTUAL removes the smaller arc, LINKED every
     present arc."""
-    present = tuple(a for a in sorted([(i, j), (j, i)]) if a in network.arcs)
+    present = tuple(a for a in sorted([(i, j), (j, i)]) if network.has(*a))
     return present[:1] if rule is ActivationRule.MUTUAL else present
 
 
@@ -48,7 +51,7 @@ def _active(instance: GameInstance, network: Network, rule: ActivationRule) -> l
     is active when the pair graph holds every pair of its members."""
     graph = pair_graph(network, rule)
     _, entries = instance.payoff_index
-    return [k for k, (pairs, _) in enumerate(entries) if graph.issuperset(pairs)]
+    return [k for k, (pairs, _) in enumerate(entries) if graph & pairs == pairs]
 
 
 def active_coalitions(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .formation import Arc, Network, form_network, remove_arcs
+from .formation import Arc, Network, form_network, remove_arcs, stars
 from .model import ActivationRule, CoalitionSpec, GameInstance
 from .payoffs import _active, payoff_vector, unlinking_arcs
 
@@ -71,11 +71,10 @@ def find_overlapping_pair(
     Two coalitions use a common arc exactly when they hold a common
     member pair, so one pass maps each pair to its first holder.
     """
-    _, entries = instance.payoff_index
     first: dict[tuple[int, int], int] = {}
     overlaps = []
-    for k, (pairs, _) in enumerate(entries):
-        for pair in pairs:
+    for k, c in enumerate(instance.coalitions):
+        for pair in c.pairs():
             holder = first.setdefault(pair, k)
             if holder != k:
                 overlaps.append((holder, k))
@@ -215,18 +214,22 @@ def restricted_equilibria(
     A profile's network is compared against every other stored profile's
     network; the move counts when the target network is the source minus
     a nonempty arc set that is entirely incident to a single player.
-    Only strictly improving moves are reported.
+    Only strictly improving moves are reported.  Both tests are on masks:
+    the target t is a proper part of the source s when `t & ~s == 0` and
+    t != s, and the removed arcs all touch p when they lie in p's star.
     """
     networks = [form_network(p) for p in instance.profiles]
     payoffs = [payoff_vector(instance, g, rule) for g in networks]
+    masks = [g.mask for g in networks]
+    stars_of = stars(instance.n)
     found: list[ReachableDeviation] = []
-    for s, gs in enumerate(networks):
-        for t, gt in enumerate(networks):
-            if s == t or not gt.arcs < gs.arcs:
+    for s, gs in enumerate(masks):
+        for t, gt in enumerate(masks):
+            if gt & ~gs or gt == gs:  # not a proper subnetwork
                 continue
-            removed = gs.arcs - gt.arcs
-            for player in range(instance.n):
-                if not all(player in arc for arc in removed):
+            removed = gs ^ gt
+            for player, star in enumerate(stars_of):
+                if removed & ~star:
                     continue
                 gain = payoffs[t][player] - payoffs[s][player]
                 if gain > 0:

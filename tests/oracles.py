@@ -93,3 +93,28 @@ def random_adjacency(rng, n: int, p: float):
         [1 if i != j and rng.random() < p else 0 for j in range(n)]
         for i in range(n)
     ]
+
+
+def oracle_restricted(coalitions, networks, rule: str):
+    """Equilibria and strictly improving moves among the given adjacency
+    matrices.  A move from s to t counts when t is s with a nonempty set
+    of cells cleared, all in one player's row or column, and that player
+    gains.  Returns (equilibria, moves), moves as (s, t, player, gain)
+    in (s, t, player) order."""
+    payoffs = [oracle_payoffs(coalitions, g, rule) for g in networks]
+    moves = []
+    for s, gs in enumerate(networks):
+        for t, gt in enumerate(networks):
+            cells = [(i, j) for i in range(len(gs)) for j in range(len(gs))]
+            if any(gt[i][j] > gs[i][j] for i, j in cells):
+                continue
+            cleared = [(i, j) for i, j in cells if gs[i][j] > gt[i][j]]
+            if not cleared:
+                continue
+            for player in range(len(gs)):
+                if all(player in cell for cell in cleared):
+                    gain = payoffs[t][player] - payoffs[s][player]
+                    if gain > 0:
+                        moves.append((s, t, player, gain))
+    losers = {s for s, _, _, _ in moves}
+    return [s for s in range(len(networks)) if s not in losers], moves

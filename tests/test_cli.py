@@ -98,10 +98,55 @@ def test_jobs_pickles_the_instance_once_per_process(capsys, monkeypatch, command
         return reduce_ex(self, protocol)
 
     monkeypatch.setattr(netform.GameInstance, "__reduce_ex__", counting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool is capped at the CPU count
     code, parallel, _ = run(capsys, *command, "worked-example", "--jobs", "2")
     assert len(worked_example().profiles) >= 8
     assert 1 <= len(pickled) <= 2
     assert (code, parallel) == run(capsys, *command, "worked-example")[:2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as exit_:
+        main(["payoffs", "worked-example", "--jobs", jobs])
+    assert exit_.value.code == 2
+    assert f"--jobs: must be at least 1, got {int(jobs)}" in capsys.readouterr().err
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps
+    in this process, so no worker is ever started."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [("3", 8, 3), ("64", 4, 4), ("500", 64, 10), ("2", None, None), ("1", 8, None)],
+)
+@pytest.mark.parametrize("command", [["payoffs"], ["equilibria", "--mode", "full"]])
+def test_jobs_starts_at_most_profiles_and_cpus_workers(capsys, monkeypatch, command, jobs, cpus, workers):
+    # the worked example has 10 profiles; os.cpu_count() may be None, read as 1
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "started", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, out, _ = run(capsys, *command, "worked-example", "--jobs", jobs)
+    assert SerialPool.started == ([] if workers is None else [workers])
+    assert (code, out) == run(capsys, *command, "worked-example")[:2]
 
 
 def test_payoffs_rule_override(capsys):

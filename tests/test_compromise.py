@@ -124,3 +124,31 @@ def test_solutions_attain_the_value(matrix):
         assert max(report.regrets[s]) == report.value
     for r, row in enumerate(report.regrets):
         assert max(row) >= report.value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compromise", "worked-example"],
+        ["compromise", "worked-example", "--sorted", "--refine-ties", "--source", "computed"],
+    ],
+)
+def test_ideal_vector_is_computed_once_per_command(monkeypatch, capsys, argv):
+    from netform import cli, compromise
+
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return ideal_vector(matrix)
+
+    monkeypatch.setattr(compromise, "ideal_vector", counting)
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_sorted_regrets_sort_each_report_row():
+    m = PayoffMatrix.of([[1, 5, 0], [4, 2, 2], [3, 3, 1]])
+    report = compromise_solution(m)
+    assert tuple(tuple(sorted(r)) for r in report.regrets) == regret_vectors(m, ascending=True)

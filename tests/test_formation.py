@@ -150,3 +150,62 @@ def test_formation_is_monotone_in_consent():
         widened[i][j] = 1
         more = _form_quietly(offers, widened)
         assert base.arcs <= more.arcs
+
+
+@st.composite
+def arc_sets(draw, max_n=7):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return n, draw(st.frozensets(st.sampled_from(off_diagonal))) if off_diagonal else frozenset()
+
+
+@given(arc_sets())
+@settings(max_examples=150)
+def test_network_mask_round_trips_through_arcs_and_matrix(case):
+    n, arcs = case
+    net = Network.of(n, arcs)
+    assert net.arcs == arcs
+    assert net.mask == sum(1 << (i * n + j) for i, j in arcs)
+    assert Network.from_matrix(net.matrix()) == net
+    assert [list(row) for row in net.matrix()] == [
+        [int((i, j) in arcs) for j in range(n)] for i in range(n)
+    ]
+
+
+@given(arc_sets(), st.randoms(use_true_random=False))
+@settings(max_examples=150)
+def test_remove_arcs_is_set_difference(case, rng):
+    n, arcs = case
+    net = Network.of(n, arcs)
+    gone = {a for a in sorted(arcs) if rng.random() < 0.5}
+    assert remove_arcs(net, gone).arcs == arcs - gone
+
+
+def test_network_refuses_bad_masks():
+    with pytest.raises(ValueError, match="out of range"):
+        Network(3, -1)
+    with pytest.raises(ValueError, match="out of range"):
+        Network(3, 1 << 9)  # arc bits stop at n*n - 1
+    for i in range(3):
+        with pytest.raises(ValueError, match=rf"self-arc \({i}, {i}\)"):
+            Network(3, 1 << (i * 4))
+    assert Network(3, (1 << 9) - 1 - (1 | 1 << 4 | 1 << 8)) == Network.from_matrix([[1] * 3] * 3)
+
+
+@pytest.mark.parametrize(
+    "offers, acceptances, message",
+    [
+        ([[0, 2], [0, 0]], [[0, 0], [0, 0]], "offers entries must be 0 or 1, got 2"),
+        ([[0, 1], [-1, 0]], [[0, 0], [0, 0]], "offers entries must be 0 or 1, got -1"),
+        ([[0, 1], [0, 0]], [[0, 256], [0, 0]], "acceptances entries must be 0 or 1, got 256"),
+        ([[0, 1], [0, 0]], [[-1, 2], [0, 0]], "acceptances entries must be 0 or 1, got -1"),
+        ([[0, 1], [0]], [[0, 0], [0, 0]], "offers must be a square 2x2 matrix"),
+        ([[0, 1], [0]], [[0, 256], [0, 0]], "offers must be a square 2x2 matrix"),
+        ([[0, 1], [0, 0]], [[0, 0], [0, 0, 0]], "acceptances must be a square 2x2 matrix"),
+    ],
+)
+def test_profile_refusals_keep_their_type_and_message(offers, acceptances, message):
+    with pytest.raises(ValueError) as refused:
+        OfferProfile.of(offers, acceptances)
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == message

@@ -129,7 +129,7 @@ def test_profile_entries_must_be_bits():
 
 @pytest.mark.parametrize("later_bad", [False, True])
 @pytest.mark.parametrize("field", ["offers", "acceptances"])
-@pytest.mark.parametrize("bad", [True, 1.0, "1", None, -1])
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", None, -1, 256, [1]])
 def test_first_bad_profile_cell_is_named(field, bad, later_bad):
     # valid cells come first in the row; a later bad cell, when there is
     # one, must not be the one named
@@ -142,13 +142,15 @@ def test_first_bad_profile_cell_is_named(field, bad, later_bad):
         load_instance(json.dumps(doc))
 
 
-def test_loaded_profile_rows_are_tuples_of_ints():
+def test_loaded_profile_rows_are_bytes_of_0_and_1():
     loaded = load_instance(save_instance(worked_example()))
     for profile in loaded.profiles:
         for matrix in (profile.offers, profile.acceptances):
             assert type(matrix) is tuple
-            assert all(type(row) is tuple for row in matrix)
+            assert all(type(row) is bytes for row in matrix)
+            # every cell reads back as exactly the int 0 or 1, never a bool
             assert {type(v) for row in matrix for v in row} == {int}
+            assert {v for row in matrix for v in row} == {0, 1}
 
 
 def test_validation_errors_surface_on_load():

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netform import (
     ActivationRule,
@@ -24,11 +27,14 @@ from netform import (
     restricted_equilibria,
     worked_example,
 )
+from netform.formation import OfferProfile
 from netform.stability import MAX_CUT_SETS, find_overlapping_pair
 
 from oracles import (
     coalition_triples,
     oracle_best_deviation,
+    oracle_form,
+    oracle_restricted,
     random_adjacency,
 )
 
@@ -322,3 +328,52 @@ def test_restricted_equilibria_empty_profiles():
     report = restricted_equilibria(inst, LINKED)
     assert report.equilibria == ()
     assert report.deviations == ()
+
+
+@st.composite
+def profile_batches(draw):
+    """A small instance and a batch of offer/acceptance pairs: random
+    parents (whose consents include diagonal ones), children in which a
+    player withdraws its offers to and acceptances from some others, and
+    exact duplicates, in a drawn order."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    bit = st.integers(min_value=0, max_value=1)
+    square = st.lists(st.lists(bit, min_size=n, max_size=n), min_size=n, max_size=n)
+    groups = [ms for size in (2, 3) for ms in combinations(range(n), size)]
+    shares = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+    coalitions = tuple(
+        CoalitionSpec.of(ms, draw(st.integers(-4, 4)), {m: draw(shares) for m in ms})
+        for ms in draw(st.lists(st.sampled_from(groups), min_size=1, max_size=6, unique=True))
+    )
+    pairs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        offers, acceptances = draw(square), draw(square)
+        pairs.append((offers, acceptances))
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            player = draw(st.integers(min_value=0, max_value=n - 1))
+            o, a = [row[:] for row in offers], [row[:] for row in acceptances]
+            for q in draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1)):
+                o[player][q] = a[player][q] = 0
+            pairs.append((o, a))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    order = draw(st.permutations(range(len(pairs))))
+    return n, coalitions, [pairs[k] for k in order]
+
+
+@given(profile_batches())
+@settings(max_examples=150)
+def test_restricted_equilibria_match_matrix_oracle(batch):
+    n, coalitions, pairs = batch
+    inst = GameInstance(
+        n=n,
+        coalitions=coalitions,
+        profiles=tuple(OfferProfile.of(o, a) for o, a in pairs),
+    )
+    networks = [oracle_form(o, a) for o, a in pairs]
+    for rule in ActivationRule:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # stripped diagonal consents
+            report = restricted_equilibria(inst, rule)
+        equilibria, moves = oracle_restricted(coalition_triples(inst), networks, rule.value)
+        assert list(report.equilibria) == equilibria
+        assert [(d.source, d.target, d.player, d.gain) for d in report.deviations] == moves
