@@ -40,10 +40,10 @@ def _load(name: str, strict: bool) -> GameInstance:
         report = validate_instance(instance, strict=strict)
         if report.errors:
             raise DocumentError("; ".join(report.errors))
+        warnings = report.warnings
     else:
-        instance = load_instance_file(name, strict=strict)
-        report = validate_instance(instance, strict=False)
-    for warning in report.warnings:
+        instance, warnings = load_instance_file(name, strict=strict)
+    for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return instance
 

@@ -3,12 +3,28 @@
 Rows are candidate outcomes, columns are players.  Each player's ideal is
 their best entry across rows; a row's regret vector is the ideal minus
 the row.  The compromise rows are those minimizing the largest regret.
+
+A table is worked on as ints over L, the least common denominator of
+its entries, built once per table.  Scaling by L > 0 keeps every order
+and every tie, so the ideal, the regrets, the row maxima, the value and
+the tie refinement are exact int arithmetic, and the results are exact
+`Fraction`s.  Each cell is an int as long as L, so a table whose L
+passes MAX_DENOMINATOR_BITS is refused: pairwise-coprime denominators
+would otherwise make every cell as long as all of them together.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from itertools import chain
+
+# Most bits the common denominator of a table's entries may need.  A
+# cell then takes at most 164 bytes as an int, against about 100 for a
+# Fraction of small ints; lcm(1, ..., 700) fits.
+MAX_DENOMINATOR_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -28,11 +44,32 @@ class PayoffMatrix:
 
     @classmethod
     def of(cls, rows) -> PayoffMatrix:
-        return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
+        return cls(tuple(
+            tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows
+        ))
 
     @property
     def n_players(self) -> int:
         return len(self.rows[0])
+
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """`(L, rows)`: L is the least common denominator of the entries,
+        and each entry is an int over L, built on first use.  Raises
+        ValueError when L needs more than MAX_DENOMINATOR_BITS bits."""
+        denominators = {v.denominator for row in self.rows for v in row}
+        denominator = 1
+        for d in denominators:
+            denominator = math.lcm(denominator, d)
+            if denominator.bit_length() > MAX_DENOMINATOR_BITS:
+                raise ValueError(
+                    "payoff table entries need a common denominator of more "
+                    f"than {MAX_DENOMINATOR_BITS} bits"
+                )
+        scale = {d: denominator // d for d in denominators}
+        return denominator, tuple(
+            tuple(v.numerator * scale[v.denominator] for v in row) for row in self.rows
+        )
 
 
 @dataclass(frozen=True)
@@ -47,11 +84,24 @@ class CompromiseReport:
     solutions: tuple[int, ...]
 
 
+def _fractions(denominator: int, values) -> dict[int, Fraction]:
+    """Each distinct int value over the denominator as a Fraction, built
+    once: regrets repeat (99% of the 8,000 on a large-batch table do)."""
+    return {t: Fraction(t, denominator) for t in set(values)}
+
+
 def ideal_vector(matrix: PayoffMatrix) -> tuple[Fraction, ...]:
     """Columnwise maximum: the best any row offers each player."""
-    return tuple(
-        max(row[j] for row in matrix.rows) for j in range(matrix.n_players)
-    )
+    denominator, rows = matrix._scaled
+    return tuple(Fraction(max(column), denominator) for column in zip(*rows))
+
+
+def _regrets(matrix: PayoffMatrix, ideal) -> tuple[int, list[list[int]]]:
+    """L and each row's regrets against the ideal as ints over L (the
+    ideal's entries are table entries, so L is their denominator too)."""
+    denominator, rows = matrix._scaled
+    top = [i.numerator * (denominator // i.denominator) for i in ideal]
+    return denominator, [[t - v for t, v in zip(top, row)] for row in rows]
 
 
 def regret_vectors(
@@ -60,12 +110,9 @@ def regret_vectors(
     """Per-row regrets against the ideal vector, in player order, or with
     each row sorted ascending when requested (a presentation choice that
     never feeds back into the selection)."""
-    regrets = _regrets(matrix, ideal_vector(matrix))
-    return tuple(tuple(sorted(r)) for r in regrets) if ascending else regrets
-
-
-def _regrets(matrix: PayoffMatrix, ideal) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(i - v for i, v in zip(ideal, row)) for row in matrix.rows)
+    denominator, regrets = _regrets(matrix, ideal_vector(matrix))
+    exact = _fractions(denominator, chain.from_iterable(regrets)).__getitem__
+    return tuple(tuple(map(exact, sorted(r) if ascending else r)) for r in regrets)
 
 
 def compromise_solution(
@@ -78,18 +125,19 @@ def compromise_solution(
     headline value is unchanged by refinement.
     """
     ideal = ideal_vector(matrix)
-    regrets = _regrets(matrix, ideal)
-    row_max = tuple(max(r) for r in regrets)
+    denominator, regrets = _regrets(matrix, ideal)
+    row_max = [max(r) for r in regrets]
     value = min(row_max)
     solutions = tuple(i for i, m in enumerate(row_max) if m == value)
     if refine_ties and len(solutions) > 1:
-        keyed = {i: tuple(sorted(regrets[i], reverse=True)) for i in solutions}
+        keyed = {i: sorted(regrets[i], reverse=True) for i in solutions}
         best = min(keyed.values())
         solutions = tuple(i for i in solutions if keyed[i] == best)
+    exact = _fractions(denominator, chain.from_iterable(regrets)).__getitem__
     return CompromiseReport(
         ideal=ideal,
-        regrets=regrets,
-        row_max=row_max,
-        value=value,
+        regrets=tuple(tuple(map(exact, r)) for r in regrets),
+        row_max=tuple(map(exact, row_max)),
+        value=exact(value),
         solutions=solutions,
     )

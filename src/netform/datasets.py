@@ -160,8 +160,30 @@ BUILTIN = {
 
 
 # most candidate coalitions, C(n, 2) + C(n, 3), that random_instance
-# builds before it samples: at most 181 players
+# draws from: at most 181 players.  The disjoint path shuffles a list of
+# them all; the other path unranks only the indices it draws.
 MAX_CANDIDATES = 10 ** 6
+
+
+def _combination(index: int, n: int, size: int) -> tuple[int, ...]:
+    """The index-th size-subset of range(n), in `combinations` order."""
+    members = []
+    low = 0
+    for left in range(size, 0, -1):
+        # skip every subset whose next member is `low`
+        while index >= (skipped := comb(n - low - 1, left - 1)):
+            index -= skipped
+            low += 1
+        members.append(low)
+        low += 1
+    return tuple(members)
+
+
+def _candidate(index: int, n: int) -> tuple[int, ...]:
+    """Candidate `index` of the pairs, then the triples, of range(n), each
+    in `combinations` order."""
+    pairs = comb(n, 2)
+    return _combination(index, n, 2) if index < pairs else _combination(index - pairs, n, 3)
 
 
 def random_instance(
@@ -192,15 +214,14 @@ def random_instance(
             f"{n} players give {total} candidate coalitions, over the limit "
             f"of {MAX_CANDIDATES}"
         )
-    rng = random.Random(seed)
-    candidates = [tuple(c) for c in combinations(range(n), 2)]
-    candidates += [tuple(c) for c in combinations(range(n), 3)]
     if coalition_count > total:
         raise ValueError(
             f"only {total} distinct coalitions exist on {n} players, "
             f"cannot pick {coalition_count}"
         )
+    rng = random.Random(seed)
     if disjoint:
+        candidates = [*combinations(range(n), 2), *combinations(range(n), 3)]
         rng.shuffle(candidates)
         chosen: list[tuple[int, ...]] = []
         for cand in candidates:
@@ -214,7 +235,9 @@ def random_instance(
                 f"on {n} players (got {len(chosen)})"
             )
     else:
-        chosen = rng.sample(candidates, coalition_count)
+        # sample reads only len and indexes, so drawing indices draws the
+        # same candidates as sampling their list
+        chosen = [_candidate(k, n) for k in rng.sample(range(total), coalition_count)]
     coalitions = tuple(
         CoalitionSpec.of(members, Fraction(rng.randint(lo, hi)))
         for members in chosen

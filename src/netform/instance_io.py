@@ -97,7 +97,18 @@ def _parse_bit_matrix(value, where: str) -> tuple[bytes, ...]:
 
 def instance_from_document(doc) -> GameInstance:
     """Build an instance from a parsed JSON document (structure only;
-    semantic validation is the loader's second step)."""
+    semantic validation is the loader's second step).  Each distinct
+    fraction string is parsed once, where it first occurs, so a bad one
+    is reported at its first field."""
+    parsed: dict[str, Fraction] = {}
+
+    def fraction(value, where: str) -> Fraction:
+        if type(value) is not str:
+            return parse_fraction(value, where)
+        if value not in parsed:
+            parsed[value] = parse_fraction(value, where)
+        return parsed[value]
+
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     schema = _expect(doc, "schema", str, "document")
@@ -117,7 +128,7 @@ def instance_from_document(doc) -> GameInstance:
             if isinstance(m, bool) or not isinstance(m, int):
                 raise DocumentError(f"{where}.members: players must be integers")
             members.append(m - 1)
-        income = parse_fraction(_expect(raw, "income", (str, int), where), f"{where}.income")
+        income = fraction(_expect(raw, "income", (str, int), where), f"{where}.income")
         shares = None  # omitted: CoalitionSpec.of splits the income evenly
         if "shares" in raw:
             shares = {}
@@ -126,7 +137,7 @@ def instance_from_document(doc) -> GameInstance:
                     player = int(key)
                 except ValueError:
                     raise DocumentError(f"{where}.shares: bad player key {key!r}") from None
-                shares[player - 1] = parse_fraction(v, f"{where}.shares[{key!r}]")
+                shares[player - 1] = fraction(v, f"{where}.shares[{key!r}]")
         coalitions.append(CoalitionSpec.of(members, income, shares))
 
     profiles = []
@@ -152,7 +163,7 @@ def instance_from_document(doc) -> GameInstance:
             raise DocumentError("payoff_matrix: expected a list of rows")
         payoff_matrix = tuple(
             tuple(
-                parse_fraction(v, f"payoff_matrix[{r}][{c}]")
+                fraction(v, f"payoff_matrix[{r}][{c}]")
                 for c, v in enumerate(row)
             )
             for r, row in enumerate(raw_matrix)
@@ -210,13 +221,10 @@ def instance_to_document(instance: GameInstance) -> dict:
     return doc
 
 
-def load_instance(text: str, strict: bool = False) -> GameInstance:
-    """Parse a JSON document and validate the instance it describes.
-
-    Structural problems and validation errors raise DocumentError; in
-    lenient mode a share sum different from 1 is only a warning, which
-    callers can re-derive with validate_instance.
-    """
+def _load_checked(text: str, strict: bool) -> tuple[GameInstance, tuple[str, ...]]:
+    """The instance a JSON document describes and its validation
+    warnings; structural problems and validation errors raise
+    DocumentError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -225,7 +233,18 @@ def load_instance(text: str, strict: bool = False) -> GameInstance:
     report = validate_instance(instance, strict=strict)
     if report.errors:
         raise DocumentError("; ".join(report.errors))
-    return instance
+    return instance, report.warnings
+
+
+def load_instance(text: str, strict: bool = False) -> GameInstance:
+    """Parse a JSON document and validate the instance it describes.
+
+    Structural problems and validation errors raise DocumentError; in
+    lenient mode a share sum different from 1 is only a warning, which
+    `load_instance_file` returns with the instance and which callers of
+    this function can re-derive with validate_instance.
+    """
+    return _load_checked(text, strict)[0]
 
 
 def save_instance(instance: GameInstance) -> str:
@@ -233,8 +252,11 @@ def save_instance(instance: GameInstance) -> str:
     return json.dumps(instance_to_document(instance), indent=2) + "\n"
 
 
-def load_instance_file(path, strict: bool = False) -> GameInstance:
-    return load_instance(Path(path).read_text(encoding="utf-8"), strict=strict)
+def load_instance_file(path, strict: bool = False) -> tuple[GameInstance, tuple[str, ...]]:
+    """Load and validate the instance in a file, once: returns it with
+    its validation warnings (lenient mode's share-sum messages; strict
+    mode turns those into errors, so it has none)."""
+    return _load_checked(Path(path).read_text(encoding="utf-8"), strict)
 
 
 def to_csv(header, rows) -> str:

@@ -46,11 +46,14 @@ class CoalitionSpec:
     @classmethod
     def of(cls, members, income, shares=None) -> CoalitionSpec:
         members = tuple(int(m) for m in members)
-        income = Fraction(income)
+        income = income if type(income) is Fraction else Fraction(income)
         if shares is None:
             shares = {m: Fraction(1, len(members)) for m in members}
         else:
-            shares = {int(m): Fraction(s) for m, s in shares.items()}
+            shares = {
+                int(m): s if type(s) is Fraction else Fraction(s)
+                for m, s in shares.items()
+            }
         return cls(members, income, shares)
 
     def share_of(self, player: int) -> Fraction:

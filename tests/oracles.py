@@ -118,3 +118,21 @@ def oracle_restricted(coalitions, networks, rule: str):
                         moves.append((s, t, player, gain))
     losers = {s for s, _, _, _ in moves}
     return [s for s in range(len(networks)) if s not in losers], moves
+
+
+def oracle_compromise(rows, refine_ties: bool):
+    """Min-max-regret selection on plain Fraction rows: (ideal, regrets,
+    row maxima, value, solutions), every number a Fraction.  Ties on the
+    value are refined, when asked, to the rows whose regrets sorted
+    descending are lexicographically least."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    ideal = [max(row[j] for row in rows) for j in range(len(rows[0]))]
+    regrets = [[ideal[j] - row[j] for j in range(len(row))] for row in rows]
+    row_max = [max(r) for r in regrets]
+    value = min(row_max)
+    solutions = [i for i in range(len(rows)) if row_max[i] == value]
+    if refine_ties:
+        keys = {i: sorted(regrets[i], reverse=True) for i in solutions}
+        least = min(keys.values())
+        solutions = [i for i in solutions if keys[i] == least]
+    return ideal, regrets, row_max, value, solutions

@@ -248,6 +248,25 @@ def test_compromise_missing_reference_matrix(capsys, tmp_path):
     assert "no reference payoff table" in err
 
 
+def test_compromise_refuses_a_table_with_a_huge_common_denominator(capsys, tmp_path):
+    # 50 coprime 30-bit denominators: a 1,500-bit least common denominator
+    primes, x = [], 10 ** 9
+    while len(primes) < 50:
+        x += 1
+        if all(x % d for d in range(2, int(x ** 0.5) + 1)):
+            primes.append(x)
+    doc = json.loads(save_instance(worked_example()))
+    doc["payoff_matrix"] = [[f"1/{p}" for p in primes[r * 5:r * 5 + 5]] for r in range(10)]
+    path = tmp_path / "coprime.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "compromise", str(path))
+    assert (code, out) == (2, "")
+    assert err.endswith("\nerror: payoff table entries need a common denominator of more than 1024 bits\n")
+    # the computed table and the other commands are unaffected
+    assert run(capsys, "compromise", str(path), "--source", "computed")[0] == 0
+    assert run(capsys, "payoffs", str(path))[0] == 0
+
+
 def test_check_disjoint_rejects_overlap(capsys):
     code, _, err = run(capsys, "check-disjoint", "worked-example", "--profile", "1")
     assert code == 2
@@ -373,6 +392,30 @@ def test_strict_flag_rejects_anomalous_shares(capsys, tmp_path):
     assert "shares sum" in err
     code, _, _ = run(capsys, "payoffs", str(path))
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "flags, code, err",
+    [
+        ([], 0, "warning: coalition 7 (1,4,2): shares sum to 5/4, not 1\n"),
+        (["--strict"], 2, "error: coalition 7 (1,4,2): shares sum to 5/4, not 1\n"),
+    ],
+)
+def test_a_loaded_file_is_validated_once(capsys, monkeypatch, tmp_path, flags, code, err):
+    from netform import cli, instance_io, model
+
+    path = tmp_path / "inst.json"
+    path.write_text(save_instance(worked_example()))
+    calls = []
+
+    def counting(instance, strict=False):
+        calls.append(strict)
+        return model.validate_instance(instance, strict=strict)
+
+    monkeypatch.setattr(instance_io, "validate_instance", counting)
+    monkeypatch.setattr(cli, "validate_instance", counting)
+    assert run(capsys, "payoffs", str(path), *flags)[::2] == (code, err)
+    assert calls == [bool(flags)]
 
 
 def test_unknown_command_is_usage_error(capsys):

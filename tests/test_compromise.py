@@ -14,6 +14,7 @@ from netform import (
     ideal_vector,
     regret_vectors,
 )
+from oracles import oracle_compromise
 
 
 def test_matrix_validation():
@@ -124,6 +125,78 @@ def test_solutions_attain_the_value(matrix):
         assert max(report.regrets[s]) == report.value
     for r, row in enumerate(report.regrets):
         assert max(row) >= report.value
+
+
+# entries of mixed kinds: ints, negatives, and fractions whose
+# denominators differ from row to row
+mixed_entry = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@st.composite
+def tables_with_ties(draw):
+    """Rows of mixed entries, some repeated (or permuted) so that the
+    value and the refinement both see ties."""
+    cols = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(mixed_entry, min_size=cols, max_size=cols), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        row = list(draw(st.sampled_from(rows)))
+        if draw(st.booleans()):
+            row = draw(st.permutations(row))
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), row)
+    return rows
+
+
+@given(tables_with_ties(), st.booleans())
+@settings(max_examples=300)
+def test_compromise_matches_fraction_oracle(rows, refine_ties):
+    report = compromise_solution(PayoffMatrix.of(rows), refine_ties=refine_ties)
+    ideal, regrets, row_max, value, solutions = oracle_compromise(rows, refine_ties)
+    assert report.ideal == tuple(ideal)
+    assert report.regrets == tuple(map(tuple, regrets))
+    assert report.row_max == tuple(row_max)
+    assert report.value == value
+    assert report.solutions == tuple(solutions)
+    numbers = [*report.ideal, *(v for r in report.regrets for v in r), *report.row_max, report.value]
+    assert all(type(v) is Fraction for v in numbers)
+    assert regret_vectors(PayoffMatrix.of(rows), ascending=True) == tuple(
+        tuple(sorted(r)) for r in regrets
+    )
+
+
+def _primes(start: int, count: int) -> list[int]:
+    found, x = [], start
+    while len(found) < count:
+        x += 1
+        if all(x % d for d in range(2, int(x ** 0.5) + 1)):
+            found.append(x)
+    return found
+
+
+def test_common_denominator_is_bounded():
+    # 40 coprime 30-bit denominators need a 1,200-bit common denominator
+    p = _primes(10 ** 9, 40)
+    matrix = PayoffMatrix.of([[Fraction(1, a) for a in p[:20]], [Fraction(1, b) for b in p[20:]]])
+    with pytest.raises(ValueError, match="common denominator of more than 1024 bits"):
+        compromise_solution(matrix)
+    with pytest.raises(ValueError, match="1024 bits"):
+        regret_vectors(matrix)
+    # lcm(1, ..., 700) has 1,009 bits: within the bound, and exact
+    rows = [[Fraction(1, d) for d in range(k, 701, 7)] for k in range(1, 8)]
+    report = compromise_solution(PayoffMatrix.of(rows))
+    ideal, regrets, row_max, value, solutions = oracle_compromise(rows, False)
+    assert (report.ideal, report.regrets, report.value, report.solutions) == (
+        tuple(ideal), tuple(map(tuple, regrets)), value, tuple(solutions)
+    )
+
+
+def test_payoff_matrix_of_keeps_fractions_and_wraps_the_rest():
+    half = Fraction(1, 2)
+    m = PayoffMatrix.of([[half, 3]])
+    assert m.rows[0][0] is half
+    assert type(m.rows[0][1]) is Fraction and m.rows[0][1] == 3
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -115,3 +117,20 @@ def test_generator_infeasible_requests():
     # refused before any candidate is built
     with pytest.raises(ValueError, match="limit"):
         random_instance(seed=0, n=2000, coalition_count=1)
+
+
+def test_generator_draws_match_sampling_the_candidate_list():
+    # the generator unranks sampled indices instead of building the list;
+    # random.sample reads only len and indexes, so the draws must agree
+    # with sampling the list itself, and so must every later draw
+    for n in range(2, 16):
+        candidates = [*combinations(range(n), 2), *combinations(range(n), 3)]
+        total = len(candidates)
+        for k in sorted({0, 1, total // 3, total - 1, total}):
+            for seed in range(8):
+                rng = random.Random(seed)
+                members = rng.sample(candidates, k)
+                incomes = [rng.randint(-5, 5) for _ in members]
+                inst = random_instance(seed=seed, n=n, coalition_count=k)
+                assert [c.members for c in inst.coalitions] == members
+                assert [c.income for c in inst.coalitions] == incomes

@@ -62,7 +62,9 @@ def test_golden_documents_match_builtins():
 def test_file_round_trip(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(save_instance(worked_example()), encoding="utf-8")
-    assert load_instance_file(path) == worked_example()
+    instance, warnings = load_instance_file(path)
+    assert instance == worked_example()
+    assert warnings == ("coalition 7 (1,4,2): shares sum to 5/4, not 1",)
 
 
 def test_document_shape():
@@ -103,6 +105,16 @@ def test_zero_denominator_share_named():
     doc = instance_to_document(worked_example())
     doc["coalitions"][0]["shares"]["1"] = "1/0"
     with pytest.raises(DocumentError, match=r"coalitions\[0\].shares\['1'\]"):
+        load_instance(json.dumps(doc))
+
+
+def test_repeated_bad_fraction_is_named_at_its_first_field():
+    # fraction strings are parsed once per document: the error must still
+    # name the first field that holds the bad string
+    doc = instance_to_document(worked_example())
+    doc["coalitions"][2]["shares"]["1"] = "1//3"
+    doc["coalitions"][5]["income"] = "1//3"
+    with pytest.raises(DocumentError, match=r"^coalitions\[2\]\.shares\['1'\]: bad fraction '1//3'"):
         load_instance(json.dumps(doc))
 
 

@@ -377,3 +377,4 @@ def test_restricted_equilibria_match_matrix_oracle(batch):
         equilibria, moves = oracle_restricted(coalition_triples(inst), networks, rule.value)
         assert list(report.equilibria) == equilibria
         assert [(d.source, d.target, d.player, d.gain) for d in report.deviations] == moves
+        assert all(type(d.gain) is Fraction for d in report.deviations)
