@@ -16,18 +16,36 @@ would otherwise make every cell as long as all of them together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 
-# Most bits the common denominator of a table's entries may need.  A
-# cell then takes at most 164 bytes as an int, against about 100 for a
+from .record import record
+
+# Most bits the common denominator of a table's entries, or of an
+# instance's coalition payments (`GameInstance.payoff_index`), may need.
+# A cell then takes at most 164 bytes as an int, against about 100 for a
 # Fraction of small ints; lcm(1, ..., 700) fits.
 MAX_DENOMINATOR_BITS = 1024
 
 
-@dataclass(frozen=True)
+def common_denominator(denominators, what: str) -> int:
+    """The least common multiple of the denominators, taken one at a
+    time.  Raises ValueError, naming `what`, at the first step that
+    needs more than MAX_DENOMINATOR_BITS bits, so that pairwise-coprime
+    denominators are refused for no more than it costs to read them."""
+    denominator = 1
+    for d in denominators:
+        denominator = math.lcm(denominator, d)
+        if denominator.bit_length() > MAX_DENOMINATOR_BITS:
+            raise ValueError(
+                f"{what} need a common denominator of more than "
+                f"{MAX_DENOMINATOR_BITS} bits"
+            )
+    return denominator
+
+
+@record
 class PayoffMatrix:
     """A payoff table: rows are outcomes, columns are players.  Never empty."""
 
@@ -58,21 +76,14 @@ class PayoffMatrix:
         and each entry is an int over L, built on first use.  Raises
         ValueError when L needs more than MAX_DENOMINATOR_BITS bits."""
         denominators = {v.denominator for row in self.rows for v in row}
-        denominator = 1
-        for d in denominators:
-            denominator = math.lcm(denominator, d)
-            if denominator.bit_length() > MAX_DENOMINATOR_BITS:
-                raise ValueError(
-                    "payoff table entries need a common denominator of more "
-                    f"than {MAX_DENOMINATOR_BITS} bits"
-                )
+        denominator = common_denominator(denominators, "payoff table entries")
         scale = {d: denominator // d for d in denominators}
         return denominator, tuple(
             tuple(v.numerator * scale[v.denominator] for v in row) for row in self.rows
         )
 
 
-@dataclass(frozen=True)
+@record
 class CompromiseReport:
     """Ideal vector, per-row regrets and their maxima, the minimized
     maximal regret, and every row index attaining it (ascending)."""

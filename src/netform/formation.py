@@ -14,9 +14,10 @@ something asks for it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
+
+from .record import record
 
 Arc = tuple[int, int]
 Matrix = tuple[bytes, ...]
@@ -78,7 +79,7 @@ def _refuse_cells(matrices) -> None:
                 raise ValueError(f"{name} entries must be 0 or 1, got {v!r}")
 
 
-@dataclass(frozen=True)
+@record
 class OfferProfile:
     """A pair of square 0/1 matrices: offers made and offers accepted.
 
@@ -115,7 +116,7 @@ class OfferProfile:
         return len(self.offers)
 
 
-@dataclass(frozen=True)
+@record
 class Network:
     """A loop-free directed network on players 0..n-1, packed into one
     int: bit i*n + j of `mask` is set exactly when arc (i, j) is present."""

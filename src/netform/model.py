@@ -7,13 +7,13 @@ floats never enter the arithmetic.  Players are 0-based internally and
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
+from .compromise import common_denominator
 from .formation import OfferProfile
+from .record import record
 
 
 class ActivationRule(Enum):
@@ -31,7 +31,7 @@ class ActivationRule(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@record
 class CoalitionSpec:
     """A 2- or 3-player coalition with an income and per-member shares.
 
@@ -83,7 +83,7 @@ class CoalitionSpec:
         return "(" + ",".join(str(m + 1) for m in self.members) + ")"
 
 
-@dataclass(frozen=True)
+@record
 class GameInstance:
     """A full problem instance: player count, coalition list, and
     optionally a list of offer/acceptance profiles plus a reference
@@ -118,9 +118,13 @@ class GameInstance:
         coalition's `pair_mask` and `(member, co-members, share × income
         × L)` for each member paid a nonzero amount, the co-members as a
         frozenset and the amount as an int.  This is the only place that
-        turns shares and incomes into payments."""
+        turns shares and incomes into payments.  Raises ValueError, before
+        scaling any amount, when L needs more than
+        `compromise.MAX_DENOMINATOR_BITS` bits."""
         amounts = [[(m, c.share_of(m) * c.income) for m in c.members] for c in self.coalitions]
-        denominator = math.lcm(*(w.denominator for ws in amounts for _, w in ws))
+        denominator = common_denominator(
+            {w.denominator for ws in amounts for _, w in ws}, "coalition payments"
+        )
         return denominator, tuple(
             (c.pair_mask(self.n), tuple(
                 (m, c.member_set() - {m}, w.numerator * (denominator // w.denominator))
@@ -131,8 +135,10 @@ class GameInstance:
         )
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
+    """The errors and warnings `validate_instance` found; ok when no errors."""
+
     errors: tuple[str, ...]
     warnings: tuple[str, ...]
 

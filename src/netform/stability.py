@@ -15,13 +15,13 @@ witness the same way: the player cuts a set of partners, removing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
 from .formation import Arc, Network, form_network, remove_arcs, stars
 from .model import ActivationRule, CoalitionSpec, GameInstance
 from .payoffs import _active, _totals, unlinking_arcs
+from .record import record
 
 # Largest number of cut sets `is_stable` will try, summed over players.
 # At about 4.5 microseconds per cut set (a 16-partner star on an Intel
@@ -29,7 +29,7 @@ from .payoffs import _active, _totals, unlinking_arcs
 MAX_CUT_SETS = 2**20
 
 
-@dataclass(frozen=True)
+@record
 class Deviation:
     """One improving move: a player, the arcs removed, the network left
     behind, and the exact payoff gain (always positive)."""
@@ -40,8 +40,10 @@ class Deviation:
     gain: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class StabilityReport:
+    """A stability verdict and, for an unstable network, its witness."""
+
     stable: bool
     witness: Deviation | None
 
@@ -188,7 +190,7 @@ def check_disjoint_stability(
     return StabilityReport(stable=True, witness=None)
 
 
-@dataclass(frozen=True)
+@record
 class ReachableDeviation:
     """A strictly improving one-player move between two stored profiles'
     networks: the target equals the source minus arcs all touching that
@@ -200,8 +202,10 @@ class ReachableDeviation:
     gain: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class RestrictedEquilibriaReport:
+    """The stored profiles that are equilibria and every improving move found."""
+
     equilibria: tuple[int, ...]
     deviations: tuple[ReachableDeviation, ...]
 

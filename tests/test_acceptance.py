@@ -11,7 +11,6 @@ rather than papered over.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from collections import Counter
@@ -28,6 +27,8 @@ from oracles import (
 
 from netform import (
     ActivationRule,
+    CoalitionSpec,
+    GameInstance,
     Network,
     PayoffMatrix,
     check_disjoint_stability,
@@ -282,14 +283,17 @@ def test_small_example_stability(capsys):
 
         # zeroing the (1,2,3) income removes the cushion that made the
         # loss-making coalition worth keeping
-        mutated = dataclasses.replace(
-            inst,
-            coalitions=tuple(
-                dataclasses.replace(c, income=Fraction(0))
+        mutated = GameInstance(
+            inst.n,
+            tuple(
+                CoalitionSpec(c.members, Fraction(0), c.shares)
                 if c.member_set() == {0, 1, 2}
                 else c
                 for c in inst.coalitions
             ),
+            inst.profiles,
+            inst.payoff_matrix,
+            inst.default_rule,
         )
         broken = is_stable(mutated, net, rule)
         assert not broken.stable

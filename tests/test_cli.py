@@ -267,6 +267,32 @@ def test_compromise_refuses_a_table_with_a_huge_common_denominator(capsys, tmp_p
     assert run(capsys, "payoffs", str(path))[0] == 0
 
 
+def test_payoff_commands_refuse_a_huge_common_denominator(capsys, tmp_path):
+    # one income over a 1,101-bit denominator: refused before any payment is scaled
+    doc = json.loads(save_instance(worked_example()))
+    doc["coalitions"][0]["income"] = f"1/{2 ** 1100 + 1}"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for command in (
+        ["payoffs"],
+        ["equilibria"],
+        ["equilibria", "--mode", "full"],
+        ["compromise", "--source", "computed"],
+    ):
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert (code, out) == (2, ""), command
+        assert err.endswith("\nerror: coalition payments need a common denominator of more than 1024 bits\n")
+    # forming networks needs no payments
+    assert run(capsys, "form", str(path))[0] == 0
+    pair = {"members": [1, 2], "income": f"1/{2 ** 1100 + 1}"}
+    path.write_text(json.dumps({"schema": "game-instance/1", "players": 2, "coalitions": [pair]}))
+    linked = tmp_path / "linked.json"
+    linked.write_text(json.dumps([[0, 1], [1, 0]]))
+    code, out, err = run(capsys, "check-disjoint", str(path), "--network", str(linked))
+    assert (code, out) == (2, "")
+    assert err == "error: coalition payments need a common denominator of more than 1024 bits\n"
+
+
 def test_check_disjoint_rejects_overlap(capsys):
     code, _, err = run(capsys, "check-disjoint", "worked-example", "--profile", "1")
     assert code == 2
@@ -333,14 +359,17 @@ def test_check_disjoint_rejects_malformed_network_file(tmp_path, matrix):
 
 
 def test_import_loads_no_process_pool():
-    # --jobs imports its pool on first use, so no other command pays for it
+    # --jobs imports its pool on first use, so no other command pays for
+    # it; the value classes are not dataclasses, so no command pays for
+    # `dataclasses` and its `inspect` chain.  -S: a .pth file that site
+    # runs can neither load these modules nor hide them
     src = Path(netform.__file__).resolve().parents[1]
     probe = (
-        "import sys, netform.cli; "
-        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        "import sys, netform.cli; print(sorted({'concurrent.futures', "
+        "'multiprocessing', 'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-S", "-c", probe],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

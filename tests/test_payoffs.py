@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,9 @@ from netform import (
     CoalitionSpec,
     GameInstance,
     Network,
+    check_disjoint_stability,
     form_network,
+    is_stable,
     payoff_vector,
     worked_example,
 )
@@ -95,6 +98,20 @@ def test_negative_income_flows_through():
     net = Network.of(3, [(0, 1)])
     assert payoff_vector(inst, net, LINKED) == (Fraction(-3), Fraction(-3), 0)
     assert payoff_vector(inst, net, MUTUAL) == (0, 0, 0)
+
+
+def test_common_denominator_of_payments_is_bounded():
+    def paying(denominator):  # player 1 takes the whole income 1/denominator
+        pair = CoalitionSpec.of((0, 1), Fraction(1, denominator), {0: 1, 1: 0})
+        return GameInstance(n=2, coalitions=(pair,))
+
+    net = Network.of(2, [(0, 1)])
+    # 2^1023 needs 1,024 bits, the most allowed
+    assert payoff_vector(paying(2 ** 1023), net, LINKED) == (Fraction(1, 2 ** 1023), 0)
+    refused = paying(2 ** 1024)
+    for engine in (payoff_vector, is_stable, check_disjoint_stability):
+        with pytest.raises(ValueError, match="common denominator of more than 1024 bits"):
+            engine(refused, net, LINKED)
 
 
 def networks(n):
