@@ -24,8 +24,9 @@ from .instance_io import (
     load_instance_file,
     save_instance,
     to_csv,
+    validated_warnings,
 )
-from .model import ActivationRule, GameInstance, validate_instance
+from .model import ActivationRule, GameInstance
 from .payoffs import payoff_vector
 from .stability import (
     check_disjoint_stability,
@@ -37,10 +38,7 @@ from .stability import (
 def _load(name: str, strict: bool) -> GameInstance:
     if name in BUILTIN:
         instance = BUILTIN[name]()
-        report = validate_instance(instance, strict=strict)
-        if report.errors:
-            raise DocumentError("; ".join(report.errors))
-        warnings = report.warnings
+        warnings = validated_warnings(instance, strict)
     else:
         instance, warnings = load_instance_file(name, strict=strict)
     for warning in warnings:
@@ -303,11 +301,8 @@ def cmd_compromise(args) -> int:
             raise ValueError("instance carries no reference payoff table")
         rows = instance.payoff_matrix
     else:
-        if not instance.profiles:
-            raise ValueError("instance has no stored profiles")
         rows = tuple(
-            payoff_vector(instance, form_network(p), rule)
-            for p in instance.profiles
+            payoff_vector(instance, net, rule) for _, net in _profile_networks(instance, None)
         )
     matrix = PayoffMatrix.of(rows)
     report = compromise_solution(matrix, refine_ties=args.refine_ties)

@@ -97,7 +97,8 @@ class CompromiseReport:
 
 def _fractions(denominator: int, values) -> dict[int, Fraction]:
     """Each distinct int value over the denominator as a Fraction, built
-    once: regrets repeat (99% of the 8,000 on a large-batch table do)."""
+    once: values repeat (99% of the 8,000 regrets on a large-batch table
+    do, and 43% of a large-batch `payoff_vector` call's totals)."""
     return {t: Fraction(t, denominator) for t in set(values)}
 
 

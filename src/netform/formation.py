@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from functools import cache, cached_property
-from itertools import chain
 
 from .record import record
 
@@ -67,16 +66,20 @@ def stars(n: int) -> tuple[int, ...]:
     return tuple(row << (p * n) | first_column << p for p in range(n))
 
 
-def _refuse_cells(matrices) -> None:
-    """Raise the first refusal of a pair of int matrices, in the order
-    `OfferProfile` checks them: shape, then cells, matrix by matrix."""
-    n = len(matrices[0])
-    for name, m in zip(("offers", "acceptances"), matrices):
-        if len(m) != n or any(len(row) != n for row in m):
-            raise ValueError(f"{name} must be a square {n}x{n} matrix")
-        for v in chain.from_iterable(m):
-            if v not in (0, 1):
-                raise ValueError(f"{name} entries must be 0 or 1, got {v!r}")
+def first_bad_cell(rows) -> tuple[int, int, object] | None:
+    """The first cell of a list of rows, in row-major order, that is not
+    the int 0 or 1 (a bool is not), as (row, column, value), or None.
+    Every caller refuses the cell it names in its own words."""
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if type(v) is not int or v not in (0, 1):
+                return r, c, v
+    return None
+
+
+def _check_square(name: str, m, n: int) -> None:
+    if len(m) != n or not set(map(len, m)) <= {n}:
+        raise ValueError(f"{name} must be a square {n}x{n} matrix")
 
 
 @record
@@ -95,21 +98,22 @@ class OfferProfile:
     def __post_init__(self) -> None:
         n = len(self.offers)
         for name, m in (("offers", self.offers), ("acceptances", self.acceptances)):
-            if len(m) != n or not set(map(len, m)) <= {n}:
-                raise ValueError(f"{name} must be a square {n}x{n} matrix")
+            _check_square(name, m, n)
             bad = b"".join(m).translate(None, b"\x00\x01")
             if bad:
                 raise ValueError(f"{name} entries must be 0 or 1, got {bad[0]!r}")
 
     @classmethod
     def of(cls, offers, acceptances) -> OfferProfile:
-        matrices = [[[int(v) for v in row] for row in m] for m in (offers, acceptances)]
-        try:
-            packed = [tuple(map(bytes, m)) for m in matrices]
-        except ValueError:  # a cell outside 0..255, refused in bytes' own words
-            _refuse_cells(matrices)
-            raise
-        return cls(*packed)
+        """The profile of two square lists of rows; a cell that is not the
+        int 0 or 1, such as True or "1", is refused by its value."""
+        n = len(offers)
+        for name, m in (("offers", offers), ("acceptances", acceptances)):
+            _check_square(name, m, n)
+            bad = first_bad_cell(m)
+            if bad is not None:
+                raise ValueError(f"{name} entries must be 0 or 1, got {bad[2]!r}")
+        return cls(tuple(map(bytes, offers)), tuple(map(bytes, acceptances)))
 
     @property
     def n(self) -> int:
@@ -169,10 +173,10 @@ class Network:
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("adjacency matrix must be square")
-        for v in chain.from_iterable(rows):
-            if type(v) is not int or v not in (0, 1):
-                raise ValueError(f"adjacency entries must be 0 or 1, got {v!r}")
-        cells = bytes(chain.from_iterable(rows))
+        bad = first_bad_cell(rows)
+        if bad is not None:
+            raise ValueError(f"adjacency entries must be 0 or 1, got {bad[2]!r}")
+        cells = b"".join(map(bytes, rows))
         return cls(n, _mask_of(cells.translate(_CELL_DIGITS)) & ~diagonal(n))
 
     def matrix(self) -> Matrix:

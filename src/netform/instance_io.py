@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
-from .formation import OfferProfile
+from .formation import OfferProfile, first_bad_cell
 from .model import (
     ActivationRule,
     CoalitionSpec,
@@ -88,11 +88,8 @@ def _parse_bit_matrix(value, where: str) -> tuple[bytes, ...]:
     except (TypeError, ValueError):
         pass
     # a refused matrix is walked cell by cell, to name its first bad entry
-    for r, row in enumerate(value):
-        for c, v in enumerate(row):
-            if type(v) is not int or v not in (0, 1):
-                raise DocumentError(f"{where}[{r}][{c}]: entries must be 0 or 1")
-    raise AssertionError(f"{where}: refused, yet every cell is 0 or 1")
+    r, c, _ = first_bad_cell(value)
+    raise DocumentError(f"{where}[{r}][{c}]: entries must be 0 or 1")
 
 
 def instance_from_document(doc) -> GameInstance:
@@ -137,6 +134,8 @@ def instance_from_document(doc) -> GameInstance:
                     player = int(key)
                 except ValueError:
                     raise DocumentError(f"{where}.shares: bad player key {key!r}") from None
+                if player - 1 in shares:
+                    raise DocumentError(f"{where}.shares: repeated player key {key!r}")
                 shares[player - 1] = fraction(v, f"{where}.shares[{key!r}]")
         coalitions.append(CoalitionSpec.of(members, income, shares))
 
@@ -230,10 +229,16 @@ def _load_checked(text: str, strict: bool) -> tuple[GameInstance, tuple[str, ...
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
     instance = instance_from_document(doc)
+    return instance, validated_warnings(instance, strict)
+
+
+def validated_warnings(instance: GameInstance, strict: bool) -> tuple[str, ...]:
+    """Validate an instance once: its warnings, or DocumentError naming
+    every error.  Files and builtin instances both pass through here."""
     report = validate_instance(instance, strict=strict)
     if report.errors:
         raise DocumentError("; ".join(report.errors))
-    return instance, report.warnings
+    return report.warnings
 
 
 def load_instance(text: str, strict: bool = False) -> GameInstance:

@@ -10,10 +10,15 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from .compromise import common_denominator
 from .formation import OfferProfile
 from .record import record
+
+# Most players an instance may have: every command builds something per
+# player, so a document of a few bytes could otherwise ask for gigabytes.
+MAX_PLAYERS = 1024
 
 
 class ActivationRule(Enum):
@@ -64,10 +69,7 @@ class CoalitionSpec:
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Unordered member pairs, each as (low, high)."""
-        ms = sorted(self.members)
-        return tuple(
-            (ms[a], ms[b]) for a in range(len(ms)) for b in range(a + 1, len(ms))
-        )
+        return tuple(combinations(sorted(self.members), 2))
 
     def pair_mask(self, n: int) -> int:
         """The member pairs as a pair-graph mask on n players: bit
@@ -150,36 +152,34 @@ class ValidationReport:
 def validate_instance(instance: GameInstance, strict: bool = False) -> ValidationReport:
     """Check structural soundness of an instance.
 
-    Errors: player count < 2, coalition size outside {2, 3}, repeated or
-    out-of-range members, duplicate coalition member sets, negative shares,
-    share keys not matching members, profile or payoff-table dimensions
-    not matching the player count, a payoff table whose row count differs
-    from the number of stored profiles.  A share sum different from 1 is an
+    Errors: player count < 2 or > MAX_PLAYERS, coalition size outside
+    {2, 3}, repeated or out-of-range members, duplicate coalition member
+    sets, negative shares, share keys not matching members, profile or
+    payoff-table dimensions not matching the player count, a payoff table
+    whose row count differs from the number of stored profiles.  A share sum different from 1 is an
     error in strict mode and a warning otherwise.
     """
     errors: list[str] = []
     warnings_: list[str] = []
     if instance.n < 2:
         errors.append(f"need at least 2 players, got {instance.n}")
+    if instance.n > MAX_PLAYERS:
+        errors.append(f"at most {MAX_PLAYERS} players are accepted, got {instance.n}")
 
     seen: dict[frozenset[int], int] = {}
     for idx, c in enumerate(instance.coalitions):
         where = f"coalition {idx + 1} {c.label()}"
         if len(c.members) not in (2, 3):
             errors.append(f"{where}: size must be 2 or 3, got {len(c.members)}")
-        if len(set(c.members)) != len(c.members):
+        key = c.member_set()
+        repeated = len(key) != len(c.members)
+        if repeated:
             errors.append(f"{where}: repeated member")
         for m in c.members:
             if not 0 <= m < instance.n:
                 errors.append(f"{where}: player {m + 1} out of range")
-        key = c.member_set()
-        if len(set(c.members)) == len(c.members):
-            if key in seen:
-                errors.append(
-                    f"{where}: same member set as coalition {seen[key] + 1}"
-                )
-            else:
-                seen[key] = idx
+        if not repeated and seen.setdefault(key, idx) != idx:
+            errors.append(f"{where}: same member set as coalition {seen[key] + 1}")
         if set(c.shares) != set(c.members):
             errors.append(f"{where}: share keys must match members exactly")
         for m, s in c.shares.items():

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .compromise import _fractions
 from .formation import Arc, Network, transposed, upper
 from .model import ActivationRule, CoalitionSpec, GameInstance
 
@@ -79,7 +80,4 @@ def payoff_vector(
 ) -> PayoffVector:
     denominator, _ = instance.payoff_index
     totals = _totals(instance, network, rule)
-    # one Fraction per distinct total (43% of a large-batch call's totals
-    # repeat an earlier one)
-    exact = {t: Fraction(t, denominator) for t in set(totals)}
-    return tuple(map(exact.__getitem__, totals))
+    return tuple(map(_fractions(denominator, totals).__getitem__, totals))

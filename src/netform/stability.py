@@ -86,6 +86,20 @@ def find_overlapping_pair(
     return instance.coalitions[a], instance.coalitions[b]
 
 
+def _check_size(instance: GameInstance, network: Network) -> None:
+    if network.n != instance.n:
+        raise ValueError(f"network on {network.n} players, instance has {instance.n}")
+
+
+def _unstable(
+    network: Network, player: int, removed: tuple[Arc, ...], paid: int, denominator: int
+) -> StabilityReport:
+    """The unstable verdict whose witness has `player` remove the arcs
+    `removed`, stopping payments to them worth `paid` (negative) over L."""
+    gain = Fraction(-paid, denominator)
+    return StabilityReport(False, Deviation(player, removed, remove_arcs(network, removed), gain))
+
+
 def is_stable(
     instance: GameInstance, network: Network, rule: ActivationRule
 ) -> StabilityReport:
@@ -102,10 +116,7 @@ def is_stable(
     then lexicographically by arc list.  Raises ValueError, before any
     search, when the players' cut sets add up to more than MAX_CUT_SETS.
     """
-    if network.n != instance.n:
-        raise ValueError(
-            f"network on {network.n} players, instance has {instance.n}"
-        )
+    _check_size(instance, network)
     denominator, entries = instance.payoff_index
     stakes = [[] for _ in range(instance.n)]  # per player: (co-members, amount × L)
     for k in _active(instance, network, rule):
@@ -118,7 +129,7 @@ def is_stable(
             f"stability search needs {total} cut sets, more than the "
             f"limit of {MAX_CUT_SETS}"
         )
-    best = None  # (-gain, player, len(removed), removed): the least key wins
+    best = None  # (paid, player, len(removed), removed): the least key wins
     for player, (ws, partners) in enumerate(zip(stakes, partners_of)):
         arcs_to = {q: unlinking_arcs(network, player, q, rule) for q in partners}
         # walked lazily: the least key does not depend on the visiting order
@@ -126,25 +137,17 @@ def is_stable(
             combinations(partners, k) for k in range(1, len(partners) + 1)
         )
         for cut in cuts:
-            gain = -sum(w for others, w in ws if not others.isdisjoint(cut))
-            if gain <= 0:
+            paid = sum(w for others, w in ws if not others.isdisjoint(cut))
+            if paid >= 0:
                 continue
             removed = tuple(sorted(a for q in cut for a in arcs_to[q]))
-            key = (-gain, player, len(removed), removed)
+            key = (paid, player, len(removed), removed)
             if best is None or key < best:
                 best = key
     if best is None:
         return StabilityReport(stable=True, witness=None)
-    loss, player, _, removed = best
-    return StabilityReport(
-        stable=False,
-        witness=Deviation(
-            player=player,
-            removed_arcs=removed,
-            resulting_network=remove_arcs(network, removed),
-            gain=Fraction(-loss, denominator),
-        ),
-    )
+    paid, player, _, removed = best
+    return _unstable(network, player, removed, paid, denominator)
 
 
 def check_disjoint_stability(
@@ -167,10 +170,7 @@ def check_disjoint_stability(
     OverlappingCoalitionsError when the disjointness precondition fails,
     naming the offending pair.
     """
-    if network.n != instance.n:
-        raise ValueError(
-            f"network on {network.n} players, instance has {instance.n}"
-        )
+    _check_size(instance, network)
     overlap = find_overlapping_pair(instance)
     if overlap is not None:
         raise OverlappingCoalitionsError(*overlap)
@@ -180,13 +180,7 @@ def check_disjoint_stability(
         if losers:
             p, others, w = min(losers, key=lambda stake: stake[0])
             removed = unlinking_arcs(network, p, min(others), rule)
-            witness = Deviation(
-                player=p,
-                removed_arcs=removed,
-                resulting_network=remove_arcs(network, removed),
-                gain=Fraction(-w, denominator),
-            )
-            return StabilityReport(stable=False, witness=witness)
+            return _unstable(network, p, removed, w, denominator)
     return StabilityReport(stable=True, witness=None)
 
 

@@ -13,6 +13,7 @@ import pytest
 import netform
 from netform.cli import main
 from netform.instance_io import save_instance
+from netform.model import MAX_PLAYERS
 from netform import worked_example
 
 DATA = Path(__file__).parent / "data"
@@ -423,18 +424,21 @@ def test_strict_flag_rejects_anomalous_shares(capsys, tmp_path):
     assert code == 0
 
 
-@pytest.mark.parametrize(
+# the worked example's coalition 7 has shares summing to 5/4
+validation_outcomes = pytest.mark.parametrize(
     "flags, code, err",
     [
         ([], 0, "warning: coalition 7 (1,4,2): shares sum to 5/4, not 1\n"),
         (["--strict"], 2, "error: coalition 7 (1,4,2): shares sum to 5/4, not 1\n"),
     ],
 )
-def test_a_loaded_file_is_validated_once(capsys, monkeypatch, tmp_path, flags, code, err):
-    from netform import cli, instance_io, model
 
-    path = tmp_path / "inst.json"
-    path.write_text(save_instance(worked_example()))
+
+def _validations(capsys, monkeypatch, instance, flags):
+    """The command's (exit code, stderr) and the strict flag of every
+    validation it ran; files and builtin names share one validation step."""
+    from netform import instance_io, model
+
     calls = []
 
     def counting(instance, strict=False):
@@ -442,9 +446,64 @@ def test_a_loaded_file_is_validated_once(capsys, monkeypatch, tmp_path, flags, c
         return model.validate_instance(instance, strict=strict)
 
     monkeypatch.setattr(instance_io, "validate_instance", counting)
-    monkeypatch.setattr(cli, "validate_instance", counting)
-    assert run(capsys, "payoffs", str(path), *flags)[::2] == (code, err)
-    assert calls == [bool(flags)]
+    return run(capsys, "payoffs", instance, *flags)[::2], calls
+
+
+@validation_outcomes
+def test_a_loaded_file_is_validated_once(capsys, monkeypatch, tmp_path, flags, code, err):
+    path = tmp_path / "inst.json"
+    path.write_text(save_instance(worked_example()))
+    assert _validations(capsys, monkeypatch, str(path), flags) == ((code, err), [bool(flags)])
+
+
+@validation_outcomes
+def test_a_builtin_instance_is_validated_once(capsys, monkeypatch, flags, code, err):
+    validations = _validations(capsys, monkeypatch, "worked-example", flags)
+    assert validations == ((code, err), [bool(flags)])
+
+
+@pytest.mark.parametrize("players", [MAX_PLAYERS + 1, 10**12])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["form"],
+        ["payoffs"],
+        ["equilibria"],
+        ["equilibria", "--mode", "full"],
+        ["compromise"],
+        ["compromise", "--source", "computed"],
+        ["check-disjoint", "--profile", "1"],
+    ],
+)
+def test_every_command_refuses_too_many_players(capsys, tmp_path, command, players):
+    # a few bytes of document; past the bound nothing per player is built
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "schema": "game-instance/1",
+        "players": players,
+        "coalitions": [{"members": [1, 2], "income": "1"}],
+    }))
+    name, *flags = command
+    code, out, err = run(capsys, name, str(path), *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: at most {MAX_PLAYERS} players are accepted, got {players}\n"
+
+
+@pytest.mark.parametrize("repeated", ["01", " 2"])
+def test_a_repeated_share_key_is_refused(capsys, tmp_path, repeated):
+    # "01" and " 2" name players 1 and 2 again: one of their two entries
+    # would be dropped, and the strict share sum would still pass
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "schema": "game-instance/1",
+        "players": 2,
+        "coalitions": [
+            {"members": [1, 2], "income": "1", "shares": {"1": "1/2", "2": "1/2", repeated: "1/2"}}
+        ],
+    }))
+    code, out, err = run(capsys, "payoffs", str(path), "--strict")
+    assert (code, out) == (2, "")
+    assert err == f"error: coalitions[0].shares: repeated player key {repeated!r}\n"
 
 
 def test_unknown_command_is_usage_error(capsys):

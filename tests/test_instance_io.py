@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netform
 from netform import (
@@ -22,6 +24,7 @@ from netform import (
     worked_example,
 )
 from netform.datasets import intersecting_example
+from netform.formation import Network, OfferProfile, first_bad_cell
 from netform.instance_io import instance_to_document, load_instance_file, parse_fraction, to_csv
 
 DATA = Path(__file__).parent / "data"
@@ -152,6 +155,55 @@ def test_first_bad_profile_cell_is_named(field, bad, later_bad):
         row[4] = 2
     with pytest.raises(DocumentError, match=rf"profiles\[3\]\.{field}\[1\]\[2\]: entries must be 0 or 1"):
         load_instance(json.dumps(doc))
+
+
+BAD_CELLS = [2, -1, 256, True, 1.0, "1", None]
+
+
+@st.composite
+def matrices_with_bad_cells(draw):
+    """A square list-of-lists 0/1 matrix with at least one bad cell, and
+    the row-major position of its first bad cell."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    rows = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    ))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    bad = draw(st.dictionaries(cells, st.sampled_from(BAD_CELLS), min_size=1))
+    for (r, c), v in bad.items():
+        rows[r][c] = v
+    return rows, min(bad)
+
+
+@given(matrices_with_bad_cells(), st.sampled_from(["offers", "acceptances"]))
+@settings(max_examples=200)
+def test_every_matrix_reader_names_the_first_bad_cell(drawn, field):
+    rows, (r, c) = drawn
+    value = rows[r][c]
+    assert first_bad_cell(rows) == (r, c, value)
+    n = len(rows)
+    matrices = {"offers": [[0] * n for _ in range(n)], "acceptances": [[0] * n for _ in range(n)]}
+    matrices[field] = rows
+    doc = {
+        "schema": "game-instance/1",
+        "players": n,
+        "coalitions": [{"members": [1, 2], "income": "1"}],
+        "profiles": [matrices],
+    }
+    with pytest.raises(DocumentError) as loaded:
+        load_instance(json.dumps(doc))
+    assert str(loaded.value) == f"profiles[0].{field}[{r}][{c}]: entries must be 0 or 1"
+    with pytest.raises(ValueError) as built:
+        OfferProfile.of(matrices["offers"], matrices["acceptances"])
+    assert (type(built.value), str(built.value)) == (
+        ValueError, f"{field} entries must be 0 or 1, got {value!r}"
+    )
+    with pytest.raises(ValueError) as read:
+        Network.from_matrix(rows)
+    assert (type(read.value), str(read.value)) == (
+        ValueError, f"adjacency entries must be 0 or 1, got {value!r}"
+    )
 
 
 def test_loaded_profile_rows_are_bytes_of_0_and_1():

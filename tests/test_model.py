@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from netform import ActivationRule, CoalitionSpec, GameInstance
 from netform.formation import OfferProfile
-from netform.model import validate_instance
+from netform.model import MAX_PLAYERS, validate_instance
 
 
 def _inst(coalitions, n=5, **kwargs):
@@ -38,6 +38,15 @@ def test_valid_instance_passes():
 def test_player_count_too_small():
     report = validate_instance(_inst([], n=1))
     assert any("at least 2 players" in e for e in report.errors)
+
+
+def test_player_count_too_large():
+    # validation only: nothing is built per player
+    assert validate_instance(_inst([], n=MAX_PLAYERS)).ok
+    for n in (MAX_PLAYERS + 1, 10**12):
+        assert validate_instance(_inst([], n=n)).errors == (
+            f"at most {MAX_PLAYERS} players are accepted, got {n}",
+        )
 
 
 def test_coalition_size_bounds():
