@@ -527,8 +527,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call in a process: it
+    depends only on code, not on any input.  `build_parser` still returns
+    a fresh parser, so a caller that extends one leaves this one alone."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # DocumentError is a ValueError

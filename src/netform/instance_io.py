@@ -220,12 +220,25 @@ def instance_to_document(instance: GameInstance) -> dict:
     return doc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, refusing a key written twice, whose first
+    value plain `json.loads` would drop without a word."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentError(f"repeated object key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def _load_checked(text: str, strict: bool) -> tuple[GameInstance, tuple[str, ...]]:
     """The instance a JSON document describes and its validation
-    warnings; structural problems and validation errors raise
-    DocumentError."""
+    warnings; structural problems, a repeated object key and validation
+    errors raise DocumentError."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
     instance = instance_from_document(doc)

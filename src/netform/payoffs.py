@@ -52,7 +52,11 @@ def unlinking_arcs(network: Network, i: int, j: int, rule: ActivationRule) -> tu
 
 def _active(instance: GameInstance, network: Network, rule: ActivationRule) -> list[int]:
     """Positions of the active coalitions, in instance order: a coalition
-    is active when the pair graph holds every pair of its members."""
+    is active when the pair graph holds every pair of its members.  Every
+    payoff and stability computation starts here, so this is where a
+    network on the wrong number of players is refused (ValueError)."""
+    if network.n != instance.n:
+        raise ValueError(f"network on {network.n} players, instance has {instance.n}")
     graph = pair_graph(network, rule)
     _, entries = instance.payoff_index
     return [k for k, (pairs, _) in enumerate(entries) if graph & pairs == pairs]

@@ -7,6 +7,7 @@ enumeration, deliberately sharing no code with the package internals.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 RULES = ("mutual", "linked")
 
@@ -86,6 +87,49 @@ def oracle_best_deviation(coalitions, g, rule: str):
             if gain > 0 and (best is None or gain > best[0]):
                 best = (gain, player, removed)
     return (best is None), best
+
+
+def oracle_cut_sets(coalitions, g, rule: str):
+    """The partner-set search, walked in `combinations` order with every
+    amount summed from scratch.
+
+    A player p can only unlink pairs (p, q), so a deviation matters only
+    through the set S of co-members it cuts off: every coalition that
+    holds p and a member of S stops paying p.  S ranges over the nonempty
+    subsets of the co-members of p's active coalitions that pay p a
+    nonzero amount, and removes the fewest arcs that unlink each q in S:
+    under mutual the smaller present arc, under linked every present arc.
+    Returns (stable, best) as `oracle_best_deviation` does, ties going to
+    the lowest player, then the fewest arcs, then the lex arc list.
+    """
+    n = len(g)
+
+    def unlinking(p, q):
+        present = [(i, j) for i, j in sorted([(p, q), (q, p)]) if g[i][j]]
+        return present[:1] if rule == "mutual" else present
+
+    best = None  # (paid, player, arc count, arcs): the least wins
+    for p in range(n):
+        stakes = [
+            (set(members) - {p}, shares.get(p, Fraction(0)) * Fraction(income))
+            for members, income, shares in coalitions
+            if p in members and oracle_active(members, g, rule)
+        ]
+        stakes = [(others, paid) for others, paid in stakes if paid]
+        partners = sorted(set().union(*(others for others, _ in stakes)))
+        for k in range(1, len(partners) + 1):
+            for cut in combinations(partners, k):
+                paid = sum((w for others, w in stakes if others & set(cut)), Fraction(0))
+                if paid >= 0:
+                    continue
+                removed = tuple(sorted(a for q in cut for a in unlinking(p, q)))
+                key = (paid, p, len(removed), removed)
+                if best is None or key < best:
+                    best = key
+    if best is None:
+        return True, None
+    paid, p, _, removed = best
+    return False, (-paid, p, removed)
 
 
 def random_adjacency(rng, n: int, p: float):

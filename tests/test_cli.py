@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import netform
-from netform.cli import main
+from netform import cli
+from netform.cli import build_parser, main
 from netform.instance_io import save_instance
 from netform.model import MAX_PLAYERS
 from netform import worked_example
@@ -504,6 +506,119 @@ def test_a_repeated_share_key_is_refused(capsys, tmp_path, repeated):
     code, out, err = run(capsys, "payoffs", str(path), "--strict")
     assert (code, out) == (2, "")
     assert err == f"error: coalitions[0].shares: repeated player key {repeated!r}\n"
+
+
+# ---- one parser per process
+
+SEQUENCE = [
+    ["payoffs", "worked-example", "--rule", "sideways"],  # a usage error
+    ["equilibria", "--help"],
+    ["equilibria", "worked-example", "--mode", "full", "--format", "json"],
+]
+
+
+def _outcome(capsys, parse_and_run, argv):
+    """Exit code, stdout and stderr of one call, a SystemExit included."""
+    try:
+        code = parse_and_run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _parsers(parser):
+    """The parser and every subcommand's parser, depth first."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        outcomes = [_outcome(capsys, main, argv)[0] for argv in SEQUENCE * 3]
+    finally:
+        cli._parser.cache_clear()
+    assert outcomes == [2, 0, 0] * 3
+    assert len(built) == 1
+
+
+def test_a_reused_parser_prints_what_a_fresh_one_prints(capsys):
+    fresh = []
+    for argv in SEQUENCE:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, main, argv))
+    cli._parser.cache_clear()
+    reused = [_outcome(capsys, main, argv) for argv in SEQUENCE * 2]
+    assert reused == fresh * 2
+    assert [code for code, _, _ in fresh] == [2, 0, 0]
+    assert "invalid choice: 'sideways'" in fresh[0][2]
+
+
+def test_help_texts_equal_a_fresh_parsers(capsys):
+    for argv in SEQUENCE:  # the shared parser has parsed before
+        _outcome(capsys, main, argv)
+    commands = [[]] + [[p.prog.split()[-1]] for p in list(_parsers(build_parser()))[1:]]
+    assert len(commands) == 7
+    for argv in commands:
+        shared = _outcome(capsys, main, argv + ["--help"])
+        fresh = _outcome(capsys, build_parser().parse_args, argv + ["--help"])
+        assert shared == fresh
+        assert shared[0] == 0 and shared[1].startswith("usage: netform")
+
+
+def test_no_parser_default_is_mutable():
+    # the shared parser hands its defaults to every call: a list, dict or
+    # set default would carry one call's changes into the next
+    for parser in _parsers(build_parser()):
+        values = [a.default for a in parser._actions] + [a.const for a in parser._actions]
+        values += parser._defaults.values()
+        for value in values:
+            hash(value)
+
+
+def test_no_document_is_kept_between_calls(capsys, tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(save_instance(worked_example()))
+    first = run(capsys, "payoffs", str(path), "--format", "json")
+    doc = json.loads(path.read_text())
+    doc["coalitions"][0]["income"] = "100"
+    path.write_text(json.dumps(doc))
+    second = run(capsys, "payoffs", str(path), "--format", "json")
+    assert first[0] == second[0] == 0
+    assert first[1] != second[1]
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('"players": 2, "players": 3', "players"),
+        ('"players": 2, "coalitions": [{"members": [1, 2], "income": "1", '
+         '"shares": {"1": "1/4", "1": "1/2", "2": "1/2"}}]', "1"),
+    ],
+)
+def test_a_repeated_object_key_is_refused(capsys, tmp_path, text, key):
+    # plain JSON parsing keeps the last value: 3 players, or share 1/2
+    body = f'{{"schema": "game-instance/1", {text}'
+    if "coalitions" not in text:
+        body += ', "coalitions": [{"members": [1, 2], "income": "1"}]'
+    path = tmp_path / "inst.json"
+    path.write_text(body + "}")
+    for flags in ([], ["--strict"]):
+        code, out, err = run(capsys, "payoffs", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: repeated object key {key!r}\n"
 
 
 def test_unknown_command_is_usage_error(capsys):

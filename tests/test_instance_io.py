@@ -90,6 +90,16 @@ def test_not_json_is_a_positioned_parse_error():
         load_instance("{nope")
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_a_key_written_twice_is_refused_at_any_depth(strict):
+    text = save_instance(worked_example())
+    # the first profile's offers, written again in front of the real ones
+    doubled = text.replace('"offers":', '"offers": [], "offers":', 1)
+    assert json.loads(doubled) == json.loads(text)  # what plain parsing keeps
+    with pytest.raises(DocumentError, match="repeated object key 'offers'"):
+        load_instance(doubled, strict=strict)
+
+
 def test_wrong_schema_tag():
     doc = instance_to_document(worked_example())
     doc["schema"] = "something/9"

@@ -18,8 +18,10 @@ from netform import (
     form_network,
     is_stable,
     payoff_vector,
+    restricted_equilibria,
     worked_example,
 )
+from netform.formation import OfferProfile
 from netform.payoffs import active_coalitions, pair_graph, unlinking_arcs
 
 from oracles import coalition_triples, oracle_payoffs, random_adjacency
@@ -112,6 +114,26 @@ def test_common_denominator_of_payments_is_bounded():
     for engine in (payoff_vector, is_stable, check_disjoint_stability):
         with pytest.raises(ValueError, match="common denominator of more than 1024 bits"):
             engine(refused, net, LINKED)
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_a_network_of_the_wrong_size_is_refused(n):
+    # a network on one player fewer or two more than the worked example's
+    # five would be read against the wrong pair-graph bits
+    arcs = [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]
+    inst = worked_example()
+    complete = [[int(i != j) for j in range(n)] for i in range(n)]
+    profile = OfferProfile.of(complete, complete)
+    mismatched = GameInstance(inst.n, inst.coalitions, (profile,))
+    message = f"network on {n} players, instance has 5"
+    for call in (
+        lambda: payoff_vector(inst, Network.of(n, arcs), LINKED),
+        lambda: is_stable(inst, Network.of(n, arcs), LINKED),
+        lambda: check_disjoint_stability(inst, Network.of(n, arcs), LINKED),
+        lambda: restricted_equilibria(mismatched, LINKED),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def networks(n):

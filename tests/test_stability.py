@@ -28,11 +28,13 @@ from netform import (
     worked_example,
 )
 from netform.formation import OfferProfile
-from netform.stability import MAX_CUT_SETS, find_overlapping_pair
+from netform.stability import MAX_CUT_SETS, _gray_flips, find_overlapping_pair
 
 from oracles import (
     coalition_triples,
+    matrix_of,
     oracle_best_deviation,
+    oracle_cut_sets,
     oracle_form,
     oracle_restricted,
     random_adjacency,
@@ -110,10 +112,12 @@ def test_one_cut_switches_off_every_coalition_through_the_pair():
 
 def test_network_size_mismatch_rejected():
     inst = GameInstance(n=3, coalitions=(CoalitionSpec.of((0, 1), 1),))
-    with pytest.raises(ValueError, match="3"):
-        is_stable(inst, Network.of(4, []), LINKED)
-    with pytest.raises(ValueError, match="3"):
-        check_disjoint_stability(inst, Network.of(4, []), LINKED)
+    for n in (2, 4):
+        message = f"network on {n} players, instance has 3"
+        with pytest.raises(ValueError, match=message):
+            is_stable(inst, Network.of(n, []), LINKED)
+        with pytest.raises(ValueError, match=message):
+            check_disjoint_stability(inst, Network.of(n, []), LINKED)
 
 
 def test_cut_set_limit_is_refused_before_any_search():
@@ -328,6 +332,81 @@ def test_restricted_equilibria_empty_profiles():
     report = restricted_equilibria(inst, LINKED)
     assert report.equilibria == ()
     assert report.deviations == ()
+
+
+UNEVEN_SHARES = [Fraction(s) for s in ("0", "1/12", "1/3", "1/2", "2/3", "1", "5/4")]
+
+
+@st.composite
+def dense_cases(draw):
+    """An instance of up to 10 players and n to 3n coalitions (as many as
+    exist on fewer than 4 players), with uneven shares and incomes over
+    denominators dividing 12, and a complete network that lacks at most
+    n of its arcs."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    groups = [ms for size in (2, 3) for ms in combinations(range(n), size)]
+    income = st.builds(
+        Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 12))
+    )
+    shares = st.sampled_from(UNEVEN_SHARES)
+    coalitions = tuple(
+        CoalitionSpec.of(ms, draw(income), {m: draw(shares) for m in ms})
+        for ms in draw(st.lists(
+            st.sampled_from(groups), min_size=min(n, len(groups)), max_size=3 * n, unique=True
+        ))
+    )
+    player = st.integers(min_value=0, max_value=n - 1)
+    missing = draw(st.sets(st.tuples(player, player), max_size=n))
+    arcs = [(i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in missing]
+    return GameInstance(n=n, coalitions=coalitions), arcs
+
+
+@given(dense_cases(), st.sampled_from(list(ActivationRule)))
+@settings(max_examples=100, deadline=None)
+def test_gray_walk_matches_combinations_walk(case, rule):
+    # the reference tries the same partner sets in combinations order and
+    # sums every amount from scratch, so the verdict and the whole witness
+    # must agree
+    inst, arcs = case
+    g = matrix_of(arcs, inst.n)
+    report = is_stable(inst, Network.of(inst.n, arcs), rule)
+    stable, best = oracle_cut_sets(coalition_triples(inst), g, rule.value)
+    assert report.stable == stable
+    if not stable:
+        w = report.witness
+        gain, player, removed = best
+        assert (w.gain, w.player, w.removed_arcs) == (gain, player, removed)
+        assert w.resulting_network == Network.of(inst.n, set(arcs) - set(removed))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 8, 9, 12])
+def test_gray_walk_visits_every_partner_set_once(k):
+    # the walk repeats a block of 255 flips between the flips of partners
+    # 8 and up, so sizes on both sides of 8 are checked
+    cut, visited = 0, []
+    for bit in _gray_flips([1 << b for b in range(k)]):
+        cut ^= bit
+        visited.append(cut)
+    assert sorted(visited) == list(range(1, 1 << k))
+
+
+def test_walks_past_the_first_block_match_the_reference():
+    # complete 11-player networks: several players can cut 9 or 10
+    # partners, so their walks run past the first block of 255 sets
+    for seed in (4, 5):
+        drawn = random_instance(seed=seed, n=11, coalition_count=40, income_range=(-6, 6))
+        rng = random.Random(seed)
+        inst = GameInstance(n=11, coalitions=tuple(
+            CoalitionSpec.of(c.members, c.income, {m: rng.choice(UNEVEN_SHARES) for m in c.members})
+            for c in drawn.coalitions
+        ))
+        arcs = [(i, j) for i in range(11) for j in range(11) if i != j]
+        for rule in ActivationRule:
+            report = is_stable(inst, Network.of(11, arcs), rule)
+            stable, best = oracle_cut_sets(coalition_triples(inst), matrix_of(arcs, 11), rule.value)
+            assert not stable
+            w = report.witness
+            assert (w.gain, w.player, w.removed_arcs) == best
 
 
 @st.composite
