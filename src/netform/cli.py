@@ -10,29 +10,20 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import gc
 import math
 import os
 import sys
-from pathlib import Path
 
 from .compromise import PayoffMatrix, compromise_solution
 from .datasets import BUILTIN, random_instance
 from .formation import Network, form_network
-from .instance_io import (
-    DocumentError,
-    load_instance_file,
-    save_instance,
-    to_csv,
-    validated_warnings,
-)
+from .instance_io import load_instance_file, parse_json, save_instance, to_csv, validated_warnings
 from .model import ActivationRule, GameInstance
 from .payoffs import payoff_vector
-from .stability import (
-    check_disjoint_stability,
-    is_stable,
-    restricted_equilibria,
-)
+
+# `netform.stability` is imported by the commands that search, and `json`
+# where a record is printed as JSON: the other commands never load them
 
 
 def _load(name: str, strict: bool) -> GameInstance:
@@ -68,6 +59,8 @@ def _emit(fmt: str, record: dict, grid, text) -> None:
     the table text(record).  The record is already 1-based, with every
     fraction a string, so no format converts engine values again."""
     if fmt == "json":
+        import json
+
         print(json.dumps(record, indent=2))
     elif fmt == "csv":
         header, *rows = grid(record)
@@ -241,6 +234,8 @@ def _full_text(record: dict) -> str:
 
 
 def cmd_equilibria(args) -> int:
+    from .stability import is_stable, restricted_equilibria
+
     instance = _load(args.instance, args.strict)
     rule = _rule(instance, args)
     if args.mode == "restricted":
@@ -340,14 +335,14 @@ def _disjoint_text(record: dict) -> str:
 
 
 def cmd_check_disjoint(args) -> int:
+    from .stability import check_disjoint_stability
+
     instance = _load(args.instance, args.strict)
     rule = _rule(instance, args)
     if args.network is not None:
-        try:
-            rows = json.loads(args.network.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"network file is not valid JSON: {exc}") from None
-        net = Network.from_matrix(rows)
+        with open(args.network, encoding="utf-8") as file:
+            text = file.read()
+        net = Network.from_matrix(parse_json(text, "network file is "))
     else:
         [(_, net)] = _profile_networks(instance, args.profile)
     report = check_disjoint_stability(instance, net, rule)
@@ -371,7 +366,8 @@ def cmd_generate(args) -> int:
     )
     text = save_instance(instance)
     if args.out:
-        args.out.write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as file:
+            file.write(text)
     else:
         print(text, end="")
     return 0
@@ -497,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--profile", type=int, help="check a stored profile's network")
     group.add_argument(
         "--network",
-        type=Path,
         help="check an adjacency matrix from a JSON file",
     )
     add_rule(p_chk)
@@ -519,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "-o",
         "--out",
-        type=Path,
         default=None,
         help="write to a file instead of stdout",
     )
@@ -537,11 +531,23 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # The cyclic collector is paused while the command runs.  A command
+    # builds only acyclic data (the parsed JSON tree, records, ints and
+    # Fractions), which reference counting frees; what it leaves for the
+    # collector is a fixed handful of objects: the encoder closures of
+    # `json.dumps(indent=...)` and those of the --jobs pool, the same for
+    # a document of any size.  Left on, the collector would scan every
+    # list a large document parses into, again and again.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

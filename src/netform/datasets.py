@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-import random
 
 from .formation import OfferProfile
 from .model import ActivationRule, CoalitionSpec, GameInstance
@@ -219,6 +218,8 @@ def random_instance(
             f"only {total} distinct coalitions exist on {n} players, "
             f"cannot pick {coalition_count}"
         )
+    import random  # here: only generating needs it
+
     rng = random.Random(seed)
     if disjoint:
         candidates = [*combinations(range(n), 2), *combinations(range(n), 3)]

@@ -8,13 +8,9 @@ every CLI surface, 0-based inside the engine.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import re
 from fractions import Fraction
-from itertools import chain
-from pathlib import Path
+from itertools import chain, repeat
 
 from .formation import OfferProfile, first_bad_cell
 from .model import (
@@ -75,7 +71,7 @@ def _expect(doc: dict, key: str, kind, where: str):
 
 
 def _parse_bit_matrix(value, where: str) -> tuple[bytes, ...]:
-    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(list))):
         raise DocumentError(f"{where}: expected a list of rows")
     # one C-level 0/1 check and one type pass per matrix (bytes() takes
     # a bool as 0/1, but its type is not int)
@@ -140,7 +136,10 @@ def instance_from_document(doc) -> GameInstance:
         coalitions.append(CoalitionSpec.of(members, income, shares))
 
     profiles = []
-    for idx, raw in enumerate(doc.get("profiles", [])):
+    raw_profiles = []  # omitted or null: no profiles
+    if doc.get("profiles") is not None:
+        raw_profiles = _expect(doc, "profiles", list, "document")
+    for idx, raw in enumerate(raw_profiles):
         where = f"profiles[{idx}]"
         if not isinstance(raw, dict):
             raise DocumentError(f"{where}: expected an object")
@@ -233,15 +232,23 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+def parse_json(text: str, prefix: str = ""):
+    """The value a JSON text holds.  Bad JSON, a repeated object key and
+    nesting too deep for the parser's recursion raise DocumentError, whose
+    message starts with prefix + "not valid JSON: "."""
+    import json  # here: a command that reads no document never loads it
+
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DocumentError(f"{prefix}not valid JSON: {exc}") from None
+
+
 def _load_checked(text: str, strict: bool) -> tuple[GameInstance, tuple[str, ...]]:
     """The instance a JSON document describes and its validation
     warnings; structural problems, a repeated object key and validation
     errors raise DocumentError."""
-    try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not valid JSON: {exc}") from None
-    instance = instance_from_document(doc)
+    instance = instance_from_document(parse_json(text))
     return instance, validated_warnings(instance, strict)
 
 
@@ -267,6 +274,8 @@ def load_instance(text: str, strict: bool = False) -> GameInstance:
 
 def save_instance(instance: GameInstance) -> str:
     """Serialize deterministically: same instance, same bytes."""
+    import json
+
     return json.dumps(instance_to_document(instance), indent=2) + "\n"
 
 
@@ -274,11 +283,16 @@ def load_instance_file(path, strict: bool = False) -> tuple[GameInstance, tuple[
     """Load and validate the instance in a file, once: returns it with
     its validation warnings (lenient mode's share-sum messages; strict
     mode turns those into errors, so it has none)."""
-    return _load_checked(Path(path).read_text(encoding="utf-8"), strict)
+    with open(path, encoding="utf-8") as file:
+        text = file.read()
+    return _load_checked(text, strict)
 
 
 def to_csv(header, rows) -> str:
     """CSV text with a header row; values are written as given."""
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -275,8 +275,9 @@ def restricted_equilibria(
     stars_of = stars(instance.n)
     found: list[ReachableDeviation] = []
     for s, gs in enumerate(masks):
+        outside = ~gs
         for t, gt in enumerate(masks):
-            if gt & ~gs or gt == gs:  # not a proper subnetwork
+            if gt & outside or gt == gs:  # not a proper subnetwork
                 continue
             removed = gs ^ gt
             for player, star in enumerate(stars_of):

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -14,9 +19,10 @@ import pytest
 import netform
 from netform import cli
 from netform.cli import build_parser, main
+from netform.formation import OfferProfile
 from netform.instance_io import save_instance
-from netform.model import MAX_PLAYERS
-from netform import worked_example
+from netform.model import MAX_PLAYERS, GameInstance
+from netform import random_instance, worked_example
 
 DATA = Path(__file__).parent / "data"
 
@@ -361,21 +367,61 @@ def test_check_disjoint_rejects_malformed_network_file(tmp_path, matrix):
     assert "Traceback" not in done.stderr
 
 
-def test_import_loads_no_process_pool():
-    # --jobs imports its pool on first use, so no other command pays for
-    # it; the value classes are not dataclasses, so no command pays for
-    # `dataclasses` and its `inspect` chain.  -S: a .pth file that site
-    # runs can neither load these modules nor hide them
+def _bare_python(probe: str) -> str:
+    """What `probe` prints in a fresh interpreter run with -S: a .pth file
+    that site runs can neither load a module for it nor hide one from it."""
     src = Path(netform.__file__).resolve().parents[1]
-    probe = (
-        "import sys, netform.cli; print(sorted({'concurrent.futures', "
-        "'multiprocessing', 'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_loads_no_process_pool():
+    # --jobs imports its pool on first use, so no other command pays for
+    # it; the value classes are not dataclasses, so no command pays for
+    # `dataclasses` and its `inspect` chain; documents, CSV, generation
+    # and the stability search import their modules where they run
+    probe = (
+        "import sys, netform.cli; print(sorted({'concurrent.futures', "
+        "'multiprocessing', 'dataclasses', 'inspect', 'json', 'csv', "
+        "'pathlib', 'random', 'netform.stability'} & set(sys.modules)))"
+    )
+    assert _bare_python(probe) == "[]\n"
+
+
+def test_import_netform_loads_no_submodule():
+    probe = "import sys, netform; print(sorted(m for m in sys.modules if m.startswith('netform.')))"
+    assert _bare_python(probe) == "[]\n"
+    # a submodule is one attribute access away, as before
+    probe = "import netform; print(netform.stability.is_stable is netform.is_stable)"
+    assert _bare_python(probe) == "True\n"
+
+
+def test_every_export_is_its_home_modules_object():
+    homes = {
+        "compromise": ["PayoffMatrix", "compromise_solution", "ideal_vector", "regret_vectors"],
+        "datasets": ["random_instance", "worked_example"],
+        "formation": ["Network", "form_network"],
+        "instance_io": ["DocumentError", "load_instance", "save_instance"],
+        "model": ["ActivationRule", "CoalitionSpec", "GameInstance"],
+        "payoffs": ["payoff_vector"],
+        "stability": [
+            "OverlappingCoalitionsError", "check_disjoint_stability",
+            "is_stable", "restricted_equilibria",
+        ],
+    }
+    assert sorted(netform.__all__) == sorted(n for names in homes.values() for n in names)
+    for home, names in homes.items():
+        module = importlib.import_module(f"netform.{home}")
+        assert getattr(netform, home) is module
+        for name in names:
+            assert getattr(netform, name) is getattr(module, name)
+    assert set(netform.__all__) | set(homes) <= set(dir(netform))
+    with pytest.raises(AttributeError, match="no attribute 'stabilty'"):
+        netform.stabilty
 
 
 def test_generate_deterministic_and_disjoint(capsys, tmp_path):
@@ -619,6 +665,115 @@ def test_a_repeated_object_key_is_refused(capsys, tmp_path, text, key):
         code, out, err = run(capsys, "payoffs", str(path), *flags)
         assert (code, out) == (2, "")
         assert err == f"error: repeated object key {key!r}\n"
+
+
+@pytest.mark.parametrize(
+    "profiles, kind", [(5, "int"), ({}, "dict"), ("ab", "str"), (True, "bool"), (None, None)]
+)
+def test_profiles_that_are_not_a_list_are_refused(capsys, tmp_path, profiles, kind):
+    doc = {
+        "schema": "game-instance/1",
+        "players": 2,
+        "coalitions": [{"members": [1, 2], "income": "1"}],
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({**doc, "profiles": profiles}))
+    code, out, err = run(capsys, "payoffs", str(path))
+    if kind is None:  # null is an absent field, as for payoff_matrix
+        path.write_text(json.dumps(doc))
+        assert (code, out, err) == (0, *run(capsys, "payoffs", str(path))[1:])
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: document.profiles: expected list, got {kind}\n"
+
+
+DEEP = 100_000
+
+
+@pytest.mark.parametrize(
+    "nested",
+    ["[" * DEEP + "]" * DEEP, '{"a": ' * DEEP + "1" + "}" * DEEP],
+    ids=["arrays", "objects"],
+)
+def test_json_nested_too_deeply_is_refused(capsys, tmp_path, nested):
+    deep = tmp_path / "deep.json"
+    deep.write_text(nested)
+    inst = tmp_path / "inst.json"
+    inst.write_text(save_instance(random_instance(seed=3, disjoint=True)))
+    for argv, prefix in [
+        (["payoffs", str(deep)], "not valid JSON: "),
+        (["check-disjoint", str(inst), "--network", str(deep)], "network file is not valid JSON: "),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {prefix}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("code, usage", [(0, False), (1, False), (2, False), (2, True)])
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, code, usage, collecting):
+    seen = []  # the collector's state while the command loads its instance
+
+    def loading():
+        seen.append(gc.isenabled())
+        return worked_example()
+
+    monkeypatch.setitem(cli.BUILTIN, "worked-example", loading)
+    argv = {
+        0: ["payoffs", "worked-example"],
+        1: ["equilibria", "worked-example", "--assert-stable"],
+        2: ["form", "worked-example", "99"],
+    }[code]
+    if usage:
+        argv = argv + ["--no-such-flag"]
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        if usage:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        else:
+            assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is collecting
+        assert seen == ([] if usage else [False])
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _cyclic_garbage(argv) -> int:
+    """Objects the collector finds unreachable after one run of argv, run
+    with the collector paused; a first run fills the process's caches."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(2):
+            gc.collect()
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(argv) == 0
+        return gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_a_command_leaves_no_garbage_that_grows_with_its_input(tmp_path):
+    # the premise of pausing the collector during a command
+    rng = random.Random(5)
+    found = []
+    for count in (2, 200):
+        base = random_instance(seed=count, n=10, coalition_count=30)
+        profiles = tuple(
+            OfferProfile.of(*(
+                [[int(i != j and rng.random() < 0.6) for j in range(10)] for i in range(10)]
+                for _ in range(2)
+            ))
+            for _ in range(count)
+        )
+        path = tmp_path / f"inst{count}.json"
+        path.write_text(save_instance(GameInstance(10, base.coalitions, profiles)))
+        found.append(_cyclic_garbage(["payoffs", str(path), "--format", "json"]))
+    assert found[0] == found[1], found
 
 
 def test_unknown_command_is_usage_error(capsys):
