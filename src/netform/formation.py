@@ -13,14 +13,15 @@ something asks for it.
 
 from __future__ import annotations
 
-import warnings
 from functools import cache, cached_property
+from itertools import chain, repeat
 
 from .record import record
 
 Arc = tuple[int, int]
 Matrix = tuple[bytes, ...]
 
+_ROW = (list, tuple, bytes)
 _CELL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_CELLS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -66,20 +67,41 @@ def stars(n: int) -> tuple[int, ...]:
     return tuple(row << (p * n) | first_column << p for p in range(n))
 
 
-def first_bad_cell(rows) -> tuple[int, int, object] | None:
-    """The first cell of a list of rows, in row-major order, that is not
-    the int 0 or 1 (a bool is not), as (row, column, value), or None.
-    Every caller refuses the cell it names in its own words."""
+def _bad_cell(rows, name: str) -> ValueError:
+    """The refusal of the first cell of `rows`, in row-major order, that
+    is not the int 0 or 1 (a bool is not).  It names the cell by its
+    position, never by its value, which may be as long as the input."""
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
             if type(v) is not int or v not in (0, 1):
-                return r, c, v
-    return None
+                return ValueError(f"{name}[{r}][{c}]: entries must be 0 or 1")
 
 
 def _check_square(name: str, m, n: int) -> None:
     if len(m) != n or not set(map(len, m)) <= {n}:
         raise ValueError(f"{name} must be a square {n}x{n} matrix")
+
+
+def bit_rows(rows, name: str) -> Matrix:
+    """The `bytes` rows of a square 0/1 matrix given as a list or tuple of
+    rows (lists, tuples or `bytes`, such as a parsed JSON document holds
+    or `Network.matrix()` returns).  Every 0/1 matrix that enters the
+    engine is read here.  Anything else raises ValueError, starting with
+    `name`; a bad cell is named as `name[row][column]`."""
+    if not isinstance(rows, (list, tuple)) or not all(map(isinstance, rows, repeat(_ROW))):
+        raise ValueError(f"{name} must be a list of rows")
+    _check_square(name, rows, len(rows))
+    # one C-level 0/1 check and one type pass (bytes() takes a bool as
+    # 0/1, but its type is not int)
+    try:
+        m = tuple(map(bytes, rows))
+        if not b"".join(m).translate(None, b"\x00\x01") and set(
+            map(type, chain.from_iterable(rows))
+        ) <= {int}:
+            return m
+    except (TypeError, ValueError):
+        pass
+    raise _bad_cell(rows, name)
 
 
 @record
@@ -99,21 +121,13 @@ class OfferProfile:
         n = len(self.offers)
         for name, m in (("offers", self.offers), ("acceptances", self.acceptances)):
             _check_square(name, m, n)
-            bad = b"".join(m).translate(None, b"\x00\x01")
-            if bad:
-                raise ValueError(f"{name} entries must be 0 or 1, got {bad[0]!r}")
+            if b"".join(m).translate(None, b"\x00\x01"):
+                raise _bad_cell(m, name)
 
     @classmethod
     def of(cls, offers, acceptances) -> OfferProfile:
-        """The profile of two square lists of rows; a cell that is not the
-        int 0 or 1, such as True or "1", is refused by its value."""
-        n = len(offers)
-        for name, m in (("offers", offers), ("acceptances", acceptances)):
-            _check_square(name, m, n)
-            bad = first_bad_cell(m)
-            if bad is not None:
-                raise ValueError(f"{name} entries must be 0 or 1, got {bad[2]!r}")
-        return cls(tuple(map(bytes, offers)), tuple(map(bytes, acceptances)))
+        """The profile of two square lists of rows, read by `bit_rows`."""
+        return cls(bit_rows(offers, "offers"), bit_rows(acceptances, "acceptances"))
 
     @property
     def n(self) -> int:
@@ -164,19 +178,9 @@ class Network:
     @classmethod
     def from_matrix(cls, rows) -> Network:
         """Network of a square 0/1 adjacency matrix given as a list of
-        rows, such as `matrix()` returns; the diagonal is ignored.  Anything else, including cells
-        such as True or "1", raises ValueError."""
-        if not isinstance(rows, (list, tuple)) or not all(
-            isinstance(row, (list, tuple, bytes)) for row in rows
-        ):
-            raise ValueError("adjacency matrix must be a list of rows")
+        rows, read by `bit_rows`; the diagonal is ignored."""
+        cells = b"".join(bit_rows(rows, "adjacency"))
         n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("adjacency matrix must be square")
-        bad = first_bad_cell(rows)
-        if bad is not None:
-            raise ValueError(f"adjacency entries must be 0 or 1, got {bad[2]!r}")
-        cells = b"".join(map(bytes, rows))
         return cls(n, _mask_of(cells.translate(_CELL_DIGITS)) & ~diagonal(n))
 
     def matrix(self) -> Matrix:
@@ -191,21 +195,13 @@ def form_network(profile: OfferProfile) -> Network:
 
     The offers, and the acceptances read column by column, become two
     masks, and the network is their AND.  A mutual self-consent (both
-    diagonals set at i) would create a loop; it is stripped with a
-    warning instead.
+    diagonals set at i) would create a loop; it is stripped, and
+    `validate_instance` warns about it.
     """
     n = profile.n
     offered = _mask_of(b"".join(profile.offers).translate(_CELL_DIGITS))
     accepted = _mask_of(_transposed(b"".join(profile.acceptances), n).translate(_CELL_DIGITS))
-    mask = offered & accepted
-    loops = mask & diagonal(n)
-    if loops:
-        stripped = [i for i in range(n) if loops >> (i * (n + 1)) & 1]
-        warnings.warn(
-            f"stripped self-arc(s) at player(s) {[p + 1 for p in stripped]}",
-            stacklevel=2,
-        )
-    return Network(n, mask ^ loops)
+    return Network(n, offered & accepted & ~diagonal(n))
 
 
 def remove_arcs(network: Network, arcs) -> Network:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain, repeat
 
-from .formation import OfferProfile, first_bad_cell
+from .formation import OfferProfile
 from .model import (
     ActivationRule,
     CoalitionSpec,
@@ -25,6 +24,13 @@ SCHEMA = "game-instance/1"
 
 class DocumentError(ValueError):
     """A document could not be parsed or failed validation."""
+
+
+def _quoted(value) -> str:
+    """repr(value) as a refusal prints it: whole up to 60 characters, cut
+    to 59 and "…" when longer, so no message is as long as its input."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:59] + "…"
 
 
 def parse_fraction(value, where: str) -> Fraction:
@@ -46,11 +52,13 @@ def parse_fraction(value, where: str) -> Fraction:
         )
     if isinstance(value, str):
         if re.search(r"[\d.][eE][-+]?\d", value):
-            raise DocumentError(f"{where}: exponent notation is not accepted, got {value!r}")
+            raise DocumentError(f"{where}: exponent notation is not accepted, got {_quoted(value)}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"{where}: bad fraction {value!r} ({exc})") from None
+            shown = _quoted(value)  # Fraction's reason repeats the value: a cut one drops it
+            reason = f" ({exc})" if shown == repr(value) else ""
+            raise DocumentError(f"{where}: bad fraction {shown}{reason}") from None
     raise DocumentError(f"{where}: expected a fraction string, got {type(value).__name__}")
 
 
@@ -68,24 +76,6 @@ def _expect(doc: dict, key: str, kind, where: str):
             f"{where}.{key}: expected {names}, got {type(value).__name__}"
         )
     return value
-
-
-def _parse_bit_matrix(value, where: str) -> tuple[bytes, ...]:
-    if not isinstance(value, list) or not all(map(isinstance, value, repeat(list))):
-        raise DocumentError(f"{where}: expected a list of rows")
-    # one C-level 0/1 check and one type pass per matrix (bytes() takes
-    # a bool as 0/1, but its type is not int)
-    try:
-        rows = tuple(map(bytes, value))
-        if not b"".join(rows).translate(None, b"\x00\x01") and set(
-            map(type, chain.from_iterable(value))
-        ) <= {int}:
-            return rows
-    except (TypeError, ValueError):
-        pass
-    # a refused matrix is walked cell by cell, to name its first bad entry
-    r, c, _ = first_bad_cell(value)
-    raise DocumentError(f"{where}[{r}][{c}]: entries must be 0 or 1")
 
 
 def instance_from_document(doc) -> GameInstance:
@@ -106,7 +96,7 @@ def instance_from_document(doc) -> GameInstance:
         raise DocumentError("document root must be an object")
     schema = _expect(doc, "schema", str, "document")
     if schema != SCHEMA:
-        raise DocumentError(f"document.schema: expected {SCHEMA!r}, got {schema!r}")
+        raise DocumentError(f"document.schema: expected {SCHEMA!r}, got {_quoted(schema)}")
     n = _expect(doc, "players", int, "document")
 
     coalitions = []
@@ -129,10 +119,10 @@ def instance_from_document(doc) -> GameInstance:
                 try:
                     player = int(key)
                 except ValueError:
-                    raise DocumentError(f"{where}.shares: bad player key {key!r}") from None
+                    raise DocumentError(f"{where}.shares: bad player key {_quoted(key)}") from None
                 if player - 1 in shares:
-                    raise DocumentError(f"{where}.shares: repeated player key {key!r}")
-                shares[player - 1] = fraction(v, f"{where}.shares[{key!r}]")
+                    raise DocumentError(f"{where}.shares: repeated player key {_quoted(key)}")
+                shares[player - 1] = fraction(v, f"{where}.shares[{_quoted(key)}]")
         coalitions.append(CoalitionSpec.of(members, income, shares))
 
     profiles = []
@@ -143,14 +133,12 @@ def instance_from_document(doc) -> GameInstance:
         where = f"profiles[{idx}]"
         if not isinstance(raw, dict):
             raise DocumentError(f"{where}: expected an object")
-        offers = _parse_bit_matrix(_expect(raw, "offers", list, where), f"{where}.offers")
-        acceptances = _parse_bit_matrix(
-            _expect(raw, "acceptances", list, where), f"{where}.acceptances"
-        )
+        offers = _expect(raw, "offers", list, where)
+        acceptances = _expect(raw, "acceptances", list, where)
         try:
-            profiles.append(OfferProfile(offers, acceptances))
+            profiles.append(OfferProfile.of(offers, acceptances))
         except ValueError as exc:
-            raise DocumentError(f"{where}: {exc}") from None
+            raise DocumentError(f"{where}.{exc}") from None
 
     payoff_matrix = None
     if doc.get("payoff_matrix") is not None:
@@ -174,7 +162,7 @@ def instance_from_document(doc) -> GameInstance:
             default_rule = ActivationRule(raw_rule)
         except ValueError:
             raise DocumentError(
-                f"default_rule: expected 'mutual' or 'linked', got {raw_rule!r}"
+                f"default_rule: expected 'mutual' or 'linked', got {_quoted(raw_rule)}"
             ) from None
 
     return GameInstance(
@@ -227,7 +215,7 @@ def _unique_keys(pairs: list) -> dict:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise DocumentError(f"repeated object key {key!r}")
+                raise DocumentError(f"repeated object key {_quoted(key)}")
             seen.add(key)
     return obj
 

@@ -149,6 +149,10 @@ class ValidationReport:
         return not self.errors
 
 
+def _at(idx: int, c: CoalitionSpec, message: str) -> str:
+    return f"coalition {idx + 1} {c.label()}: {message}"
+
+
 def validate_instance(instance: GameInstance, strict: bool = False) -> ValidationReport:
     """Check structural soundness of an instance.
 
@@ -157,7 +161,9 @@ def validate_instance(instance: GameInstance, strict: bool = False) -> Validatio
     sets, negative shares, share keys not matching members, profile or
     payoff-table dimensions not matching the player count, a payoff table
     whose row count differs from the number of stored profiles.  A share sum different from 1 is an
-    error in strict mode and a warning otherwise.
+    error in strict mode and a warning otherwise.  A profile in which a
+    player both offers and accepts a link to itself is a warning in
+    either mode: `form_network` forms no arc from it.
     """
     errors: list[str] = []
     warnings_: list[str] = []
@@ -168,26 +174,25 @@ def validate_instance(instance: GameInstance, strict: bool = False) -> Validatio
 
     seen: dict[frozenset[int], int] = {}
     for idx, c in enumerate(instance.coalitions):
-        where = f"coalition {idx + 1} {c.label()}"
         if len(c.members) not in (2, 3):
-            errors.append(f"{where}: size must be 2 or 3, got {len(c.members)}")
+            errors.append(_at(idx, c, f"size must be 2 or 3, got {len(c.members)}"))
         key = c.member_set()
         repeated = len(key) != len(c.members)
         if repeated:
-            errors.append(f"{where}: repeated member")
+            errors.append(_at(idx, c, "repeated member"))
         for m in c.members:
             if not 0 <= m < instance.n:
-                errors.append(f"{where}: player {m + 1} out of range")
+                errors.append(_at(idx, c, f"player {m + 1} out of range"))
         if not repeated and seen.setdefault(key, idx) != idx:
-            errors.append(f"{where}: same member set as coalition {seen[key] + 1}")
+            errors.append(_at(idx, c, f"same member set as coalition {seen[key] + 1}"))
         if set(c.shares) != set(c.members):
-            errors.append(f"{where}: share keys must match members exactly")
+            errors.append(_at(idx, c, "share keys must match members exactly"))
         for m, s in c.shares.items():
             if s < 0:
-                errors.append(f"{where}: negative share for player {m + 1}")
+                errors.append(_at(idx, c, f"negative share for player {m + 1}"))
         total = sum(c.shares.values(), Fraction(0))
         if total != 1:
-            msg = f"{where}: shares sum to {total}, not 1"
+            msg = _at(idx, c, f"shares sum to {total}, not 1")
             (errors if strict else warnings_).append(msg)
 
     for idx, p in enumerate(instance.profiles):
@@ -196,6 +201,14 @@ def validate_instance(instance: GameInstance, strict: bool = False) -> Validatio
                 f"profile {idx + 1}: {p.n}x{p.n} matrices for a "
                 f"{instance.n}-player instance"
             )
+        offered = b"".join(p.offers)[:: p.n + 1]
+        if 1 in offered:
+            accepted = b"".join(p.acceptances)[:: p.n + 1]
+            players = ", ".join(str(i + 1) for i in range(p.n) if offered[i] & accepted[i])
+            if players:
+                warnings_.append(
+                    f"profile {idx + 1}: self-consent of player(s) {players} forms no arc"
+                )
     if instance.payoff_matrix is not None:
         rows = len(instance.payoff_matrix)
         if instance.profiles and rows != len(instance.profiles):

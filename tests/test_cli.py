@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import gc
 import importlib
 import io
@@ -11,10 +12,13 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netform
 from netform import cli
@@ -786,3 +790,93 @@ def test_missing_instance_file(capsys):
     code, _, err = run(capsys, "payoffs", "no-such-file.json")
     assert code == 2
     assert "error" in err
+
+
+# ---- fuzz: malformed documents and network files
+
+LONG = "Ω" * 200_000  # Ω occurs in no message, so a line's count is how much it echoes
+
+
+def _nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+FUZZ_VALUES = [None, True, False, 0.5, -1.0, 0, 1, 2, 10**30, LONG, "", _nested(3), _nested(500), {}, []]
+
+
+@st.composite
+def _mutated(draw, doc):
+    """doc with one or two of its nodes, the root included, replaced by a
+    malformed value; each replaced node is reached by a random walk of up
+    to six steps."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 2))):
+        parent, key, node = None, None, doc
+        for _ in range(draw(st.integers(0, 6))):
+            if not isinstance(node, (dict, list)) or not node:
+                break
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, draw(st.sampled_from(keys))
+            node = node[key]
+        value = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+        if parent is None:
+            doc = value
+        else:
+            parent[key] = value
+    return doc
+
+
+def _run_warnings_as_errors(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_refused_cleanly(runs) -> None:
+    for argv, (code, err) in runs:
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        assert max((line.count("Ω") for line in err.splitlines()), default=0) <= 80, argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory) -> Path:
+    where = tmp_path_factory.mktemp("fuzz")
+    disjoint = save_instance(random_instance(seed=3, n=5, disjoint=True))
+    (where / "disjoint.json").write_text(disjoint, encoding="utf-8")
+    return where
+
+
+@given(doc=_mutated(json.loads(save_instance(worked_example()))))
+@settings(max_examples=200, deadline=None)
+def test_a_malformed_document_is_refused_cleanly(fuzz_dir, doc):
+    path = fuzz_dir / "doc.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    name = str(path)
+    commands = [
+        ["form", name],
+        ["payoffs", name],
+        ["equilibria", name],
+        ["equilibria", name, "--mode", "full"],
+        ["compromise", name],
+        ["compromise", name, "--source", "computed"],
+        ["check-disjoint", name, "--profile", "1"],
+    ]
+    _assert_refused_cleanly((argv, _run_warnings_as_errors(argv)) for argv in commands)
+
+
+NETWORK = [[int(i != j and (i + j) % 3 != 0) for j in range(5)] for i in range(5)]
+
+
+@given(network=_mutated(NETWORK))
+@settings(max_examples=200, deadline=None)
+def test_a_malformed_network_file_is_refused_cleanly(fuzz_dir, network):
+    path = fuzz_dir / "network.json"
+    path.write_text(json.dumps(network, ensure_ascii=False), encoding="utf-8")
+    argv = ["check-disjoint", str(fuzz_dir / "disjoint.json"), "--network", str(path)]
+    _assert_refused_cleanly([(argv, _run_warnings_as_errors(argv))])

@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netform import Network, form_network
+from netform import Network, form_network, load_instance
+from netform.cli import main
 from netform.formation import OfferProfile, remove_arcs
+from netform.model import validate_instance
 
 from oracles import oracle_form
+
+SRC = str(Path(__file__).parents[1] / "src")
 
 
 def test_profile_requires_square_matrices():
@@ -37,14 +46,47 @@ def test_form_needs_consent_in_both_directions():
     assert net.arcs == {(0, 1)}
 
 
-def test_mutual_self_consent_is_stripped_with_warning():
+SELF_CONSENT = {
+    "schema": "game-instance/1",
+    "players": 3,
+    "coalitions": [{"members": [1, 2], "income": "1"}],
+    "profiles": [
+        {"offers": [[0, 0, 0]] * 3, "acceptances": [[0, 0, 0]] * 3},
+        {
+            "offers": [[1, 1, 0], [0, 0, 0], [0, 0, 1]],
+            "acceptances": [[1, 0, 0], [1, 0, 0], [0, 0, 1]],
+        },
+    ],
+}
+SELF_CONSENT_WARNING = "profile 2: self-consent of player(s) 1, 3 forms no arc"
+
+
+def test_mutual_self_consent_is_stripped_with_warning(tmp_path, capsys):
+    # forming strips the self-arc without a Python warning ...
     profile = OfferProfile.of(
         [[1, 1], [0, 0]],
         [[1, 0], [1, 0]],
     )
-    with pytest.warns(UserWarning, match="self-arc"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         net = form_network(profile)
     assert net.arcs == {(0, 1)}
+    # ... and validation reports it as a warning, also in strict mode
+    inst = load_instance(json.dumps(SELF_CONSENT))
+    for strict in (False, True):
+        report = validate_instance(inst, strict=strict)
+        assert (report.errors, report.warnings) == ((), (SELF_CONSENT_WARNING,))
+    # the CLI prints it as a warning line on every call, not only the first
+    path = tmp_path / "self.json"
+    path.write_text(json.dumps(SELF_CONSENT), encoding="utf-8")
+    for argv in (["payoffs", str(path)], ["payoffs", str(path)], ["form", str(path), "--strict"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == f"warning: {SELF_CONSENT_WARNING}\n"
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "netform.cli", "payoffs", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert (done.returncode, done.stderr) == (0, f"warning: {SELF_CONSENT_WARNING}\n")
 
 
 def test_offer_only_diagonal_is_silently_ignored():
@@ -52,8 +94,6 @@ def test_offer_only_diagonal_is_silently_ignored():
         [[1, 1], [0, 0]],
         [[0, 0], [1, 0]],
     )
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         net = form_network(profile)
@@ -74,7 +114,7 @@ def test_matrix_round_trip():
 
 
 def test_from_matrix_rejects_bad_entries():
-    with pytest.raises(ValueError, match="0 or 1"):
+    with pytest.raises(ValueError, match=r"^adjacency\[0\]\[1\]: entries must be 0 or 1$"):
         Network.from_matrix([[0, 3], [0, 0]])
     with pytest.raises(ValueError, match="square"):
         Network.from_matrix([[0, 1], [0]])
@@ -111,18 +151,15 @@ def bit_matrix_pairs(draw):
     return draw(rows), draw(rows)
 
 
-def _form_quietly(offers, acceptances):
-    """Form from arbitrary random consents, ignoring the self-arc warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return form_network(OfferProfile.of(offers, acceptances))
+def _form(offers, acceptances):
+    return form_network(OfferProfile.of(offers, acceptances))
 
 
 @given(bit_matrix_pairs())
 @settings(max_examples=150)
 def test_formation_matches_matrix_oracle(pair):
     offers, acceptances = pair
-    net = _form_quietly(offers, acceptances)
+    net = _form(offers, acceptances)
     assert [list(r) for r in net.matrix()] == oracle_form(offers, acceptances)
 
 
@@ -130,7 +167,7 @@ def test_formation_matches_matrix_oracle(pair):
 @settings(max_examples=100)
 def test_formed_arcs_need_offer_and_acceptance(pair):
     offers, acceptances = pair
-    net = _form_quietly(offers, acceptances)
+    net = _form(offers, acceptances)
     for i, j in net.arcs:
         assert i != j
         assert offers[i][j] == 1
@@ -143,12 +180,12 @@ def test_formation_is_monotone_in_consent():
         n = rng.randint(2, 5)
         offers = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
         acceptances = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-        base = _form_quietly(offers, acceptances)
+        base = _form(offers, acceptances)
         # granting one more acceptance never removes an arc
         i, j = rng.randrange(n), rng.randrange(n)
         widened = [row[:] for row in acceptances]
         widened[i][j] = 1
-        more = _form_quietly(offers, widened)
+        more = _form(offers, widened)
         assert base.arcs <= more.arcs
 
 
@@ -195,10 +232,10 @@ def test_network_refuses_bad_masks():
 @pytest.mark.parametrize(
     "offers, acceptances, message",
     [
-        ([[0, 2], [0, 0]], [[0, 0], [0, 0]], "offers entries must be 0 or 1, got 2"),
-        ([[0, 1], [-1, 0]], [[0, 0], [0, 0]], "offers entries must be 0 or 1, got -1"),
-        ([[0, 1], [0, 0]], [[0, 256], [0, 0]], "acceptances entries must be 0 or 1, got 256"),
-        ([[0, 1], [0, 0]], [[-1, 2], [0, 0]], "acceptances entries must be 0 or 1, got -1"),
+        ([[0, 2], [0, 0]], [[0, 0], [0, 0]], "offers[0][1]: entries must be 0 or 1"),
+        ([[0, 1], [-1, 0]], [[0, 0], [0, 0]], "offers[1][0]: entries must be 0 or 1"),
+        ([[0, 1], [0, 0]], [[0, 256], [0, 0]], "acceptances[0][1]: entries must be 0 or 1"),
+        ([[0, 1], [0, 0]], [[-1, 2], [0, 0]], "acceptances[0][0]: entries must be 0 or 1"),
         ([[0, 1], [0]], [[0, 0], [0, 0]], "offers must be a square 2x2 matrix"),
         ([[0, 1], [0]], [[0, 256], [0, 0]], "offers must be a square 2x2 matrix"),
         ([[0, 1], [0, 0]], [[0, 0], [0, 0, 0]], "acceptances must be a square 2x2 matrix"),

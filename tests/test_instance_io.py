@@ -24,7 +24,7 @@ from netform import (
     worked_example,
 )
 from netform.datasets import intersecting_example
-from netform.formation import Network, OfferProfile, first_bad_cell
+from netform.formation import Network, OfferProfile
 from netform.instance_io import instance_to_document, load_instance_file, parse_fraction, to_csv
 
 DATA = Path(__file__).parent / "data"
@@ -131,6 +131,52 @@ def test_repeated_bad_fraction_is_named_at_its_first_field():
         load_instance(json.dumps(doc))
 
 
+def _refusal(edit) -> str:
+    doc = instance_to_document(worked_example())
+    edit(doc)
+    with pytest.raises(DocumentError) as refused:
+        load_instance(json.dumps(doc))
+    return str(refused.value)
+
+
+def _set(*path):
+    def edit(doc):
+        *parents, last = path[:-1]
+        for key in parents:
+            doc = doc[key]
+        doc[last] = path[-1]
+    return edit
+
+
+def _add_share(value):
+    return lambda doc: doc["coalitions"][0]["shares"].update({value: "0"})
+
+
+@pytest.mark.parametrize(
+    "edit, head",
+    [
+        (lambda v: _set("schema", v), ""),
+        (lambda v: _set("default_rule", v), ""),
+        (lambda v: _set("coalitions", 4, "income", v), ""),  # bad fraction
+        (lambda v: _set("coalitions", 4, "income", v), "1e1"),  # exponent notation
+        (_add_share, ""),  # bad player key
+    ],
+    ids=["schema", "default_rule", "bad fraction", "exponent", "share key"],
+)
+def test_a_refusal_quotes_a_document_value_at_most_60_characters_long(edit, head):
+    value = head + "z" * (58 - len(head))  # a repr of exactly 60 characters
+    assert repr(value) in _refusal(edit(value))
+    cut = _refusal(edit(head + "z" * 100_000))
+    assert cut.count("z") <= 58 and cut.endswith("z…")
+
+
+def test_a_repeated_long_key_is_quoted_cut():
+    key = "k" * 1000
+    with pytest.raises(DocumentError) as refused:
+        load_instance('{"%s": 1, "%s": 2}' % (key, key))
+    assert str(refused.value) == f"repeated object key '{'k' * 58}…"
+
+
 def test_float_income_rejected():
     doc = instance_to_document(worked_example())
     doc["coalitions"][0]["income"] = 4.5
@@ -167,31 +213,56 @@ def test_first_bad_profile_cell_is_named(field, bad, later_bad):
         load_instance(json.dumps(doc))
 
 
-BAD_CELLS = [2, -1, 256, True, 1.0, "1", None]
+BAD_CELLS = [2, -1, 256, 10**30, True, False, 1.0, "1", None, [1], [[0]], {}]
+NAME = re.compile(r"^(offers|acceptances|adjacency)(.*)$")
 
 
 @st.composite
-def matrices_with_bad_cells(draw):
-    """A square list-of-lists 0/1 matrix with at least one bad cell, and
-    the row-major position of its first bad cell."""
+def nested_matrices(draw):
+    """A list of 2 to 5 rows, mostly square lists of 0/1 cells; some
+    cells are replaced by other JSON values, and some rows are cut, grown
+    or replaced by a cell."""
     n = draw(st.integers(min_value=2, max_value=5))
-    rows = draw(st.lists(
-        st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n),
-        min_size=n, max_size=n,
-    ))
+    bit = st.integers(min_value=0, max_value=1)
+    rows = draw(st.lists(st.lists(bit, min_size=n, max_size=n), min_size=n, max_size=n))
     cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    bad = draw(st.dictionaries(cells, st.sampled_from(BAD_CELLS), min_size=1))
-    for (r, c), v in bad.items():
+    for (r, c), v in draw(st.dictionaries(cells, st.sampled_from(BAD_CELLS), max_size=3)).items():
         rows[r][c] = v
-    return rows, min(bad)
+    odd_rows = st.sampled_from(BAD_CELLS + [[0] * (n + 1), [0]])
+    for r, row in draw(st.dictionaries(st.integers(0, n - 1), odd_rows, max_size=1)).items():
+        rows[r] = row
+    return rows
 
 
-@given(matrices_with_bad_cells(), st.sampled_from(["offers", "acceptances"]))
-@settings(max_examples=200)
-def test_every_matrix_reader_names_the_first_bad_cell(drawn, field):
-    rows, (r, c) = drawn
-    value = rows[r][c]
-    assert first_bad_cell(rows) == (r, c, value)
+def _outcome(read):
+    """("ok", rows) or ("refused", message with its matrix name cut off)."""
+    try:
+        return "ok", read()
+    except ValueError as exc:
+        assert type(exc) in (ValueError, DocumentError)
+        return "refused", NAME.match(str(exc).removeprefix("profiles[0].")).group(2)
+
+
+def _oracle(rows):
+    """What reading rows as a 0/1 matrix gives, checked one rule at a time."""
+    n = len(rows)
+    if not all(type(row) is list for row in rows):
+        return "refused", " must be a list of rows"
+    if any(len(row) != n for row in rows):
+        return "refused", f" must be a square {n}x{n} matrix"
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if type(v) is not int or v not in (0, 1):
+                return "refused", f"[{r}][{c}]: entries must be 0 or 1"
+    return "ok", tuple(bytes(row) for row in rows)
+
+
+@given(nested_matrices(), st.sampled_from(["offers", "acceptances"]))
+@settings(max_examples=300)
+def test_every_matrix_reader_names_the_first_bad_cell(rows, field):
+    # the loader, OfferProfile.of, OfferProfile(...) on bytes rows and
+    # Network.from_matrix accept the same matrices, read the same rows and
+    # refuse the same first bad cell, by its position
     n = len(rows)
     matrices = {"offers": [[0] * n for _ in range(n)], "acceptances": [[0] * n for _ in range(n)]}
     matrices[field] = rows
@@ -201,19 +272,20 @@ def test_every_matrix_reader_names_the_first_bad_cell(drawn, field):
         "coalitions": [{"members": [1, 2], "income": "1"}],
         "profiles": [matrices],
     }
-    with pytest.raises(DocumentError) as loaded:
-        load_instance(json.dumps(doc))
-    assert str(loaded.value) == f"profiles[0].{field}[{r}][{c}]: entries must be 0 or 1"
-    with pytest.raises(ValueError) as built:
-        OfferProfile.of(matrices["offers"], matrices["acceptances"])
-    assert (type(built.value), str(built.value)) == (
-        ValueError, f"{field} entries must be 0 or 1, got {value!r}"
-    )
-    with pytest.raises(ValueError) as read:
-        Network.from_matrix(rows)
-    assert (type(read.value), str(read.value)) == (
-        ValueError, f"adjacency entries must be 0 or 1, got {value!r}"
-    )
+    expected = _oracle(rows)
+    loaded = _outcome(lambda: getattr(load_instance(json.dumps(doc)).profiles[0], field))
+    assert loaded == expected
+    assert _outcome(lambda: getattr(OfferProfile.of(**matrices), field)) == expected
+    if all(type(row) is list and len(row) == n for row in rows) and all(
+        type(v) is int and 0 <= v < 256 for row in rows for v in row
+    ):
+        as_bytes = {k: tuple(map(bytes, m)) for k, m in matrices.items()}
+        assert _outcome(lambda: getattr(OfferProfile(**as_bytes), field)) == expected
+    if expected[0] == "ok":
+        expected = "ok", tuple(
+            bytes(v * (i != j) for j, v in enumerate(row)) for i, row in enumerate(rows)
+        )
+    assert _outcome(lambda: Network.from_matrix(rows).matrix()) == expected
 
 
 def test_loaded_profile_rows_are_bytes_of_0_and_1():

@@ -73,7 +73,7 @@ CASES = [
         [
             ((ROWS, ROWS[:1]), "acceptances must be a square 2x2 matrix"),
             ((ROWS, (b"\x00\x01", b"\x01")), "acceptances must be a square 2x2 matrix"),
-            (((b"\x00\x02", b"\x00\x00"), ROWS), "offers entries must be 0 or 1, got 2"),
+            (((b"\x00\x02", b"\x00\x00"), ROWS), r"offers\[0\]\[1\]: entries must be 0 or 1"),
         ],
     ),
     (
