@@ -225,10 +225,14 @@ def random_instance(
         candidates = [*combinations(range(n), 2), *combinations(range(n), 3)]
         rng.shuffle(candidates)
         chosen: list[tuple[int, ...]] = []
+        used: set[tuple[int, int]] = set()  # the member pairs chosen so far
         for cand in candidates:
             if len(chosen) == coalition_count:
                 break
-            if all(len(set(cand) & set(kept)) < 2 for kept in chosen):
+            # `find_overlapping_pair`'s rule: no member pair held twice
+            pairs = list(combinations(cand, 2))
+            if used.isdisjoint(pairs):
+                used.update(pairs)
                 chosen.append(cand)
         if len(chosen) < coalition_count:
             raise ValueError(

@@ -77,30 +77,31 @@ def _bad_cell(rows, name: str) -> ValueError:
                 return ValueError(f"{name}[{r}][{c}]: entries must be 0 or 1")
 
 
-def _check_square(name: str, m, n: int) -> None:
+def _checked(m: Matrix, name: str, n: int) -> bytes:
+    """The cells of `bytes` rows m, joined, once m is found to be a square
+    n×n matrix of 0/1 cells: the one check of every matrix that enters
+    the engine.  Raises ValueError, starting with `name`."""
     if len(m) != n or not set(map(len, m)) <= {n}:
         raise ValueError(f"{name} must be a square {n}x{n} matrix")
+    cells = b"".join(m)
+    if cells.translate(None, b"\x00\x01"):
+        raise _bad_cell(m, name)
+    return cells
 
 
 def bit_rows(rows, name: str) -> Matrix:
-    """The `bytes` rows of a square 0/1 matrix given as a list or tuple of
-    rows (lists, tuples or `bytes`, such as a parsed JSON document holds
-    or `Network.matrix()` returns).  Every 0/1 matrix that enters the
-    engine is read here.  Anything else raises ValueError, starting with
-    `name`; a bad cell is named as `name[row][column]`."""
+    """The `bytes` rows, for `_checked` to check, of a list or tuple of
+    rows (lists, tuples or `bytes`, as a parsed JSON document holds or
+    `Network.matrix()` returns); rows it cannot convert raise ValueError."""
     if not isinstance(rows, (list, tuple)) or not all(map(isinstance, rows, repeat(_ROW))):
         raise ValueError(f"{name} must be a list of rows")
-    _check_square(name, rows, len(rows))
-    # one C-level 0/1 check and one type pass (bytes() takes a bool as
-    # 0/1, but its type is not int)
-    try:
+    try:  # bytes() takes any int below 256, and a bool, whose type is not int
         m = tuple(map(bytes, rows))
-        if not b"".join(m).translate(None, b"\x00\x01") and set(
-            map(type, chain.from_iterable(rows))
-        ) <= {int}:
+        if set(map(type, chain.from_iterable(rows))) <= {int}:
             return m
     except (TypeError, ValueError):
         pass
+    _checked(tuple(map(bytes, map(len, rows))), name, len(rows))  # the shape, zero-filled
     raise _bad_cell(rows, name)
 
 
@@ -119,15 +120,22 @@ class OfferProfile:
 
     def __post_init__(self) -> None:
         n = len(self.offers)
-        for name, m in (("offers", self.offers), ("acceptances", self.acceptances)):
-            _check_square(name, m, n)
-            if b"".join(m).translate(None, b"\x00\x01"):
-                raise _bad_cell(m, name)
+        _checked(self.offers, "offers", n)
+        _checked(self.acceptances, "acceptances", n)
 
     @classmethod
     def of(cls, offers, acceptances) -> OfferProfile:
-        """The profile of two square lists of rows, read by `bit_rows`."""
-        return cls(bit_rows(offers, "offers"), bit_rows(acceptances, "acceptances"))
+        """The profile of two lists of rows, converted by `bit_rows`.  A refusal
+        names the offers' fault, the acceptances' own, then their size."""
+        offers = bit_rows(offers, "offers")
+        try:
+            acceptances = bit_rows(acceptances, "acceptances")
+            if len(acceptances) != len(offers):
+                _checked(acceptances, "acceptances", len(acceptances))
+        except ValueError:
+            _checked(offers, "offers", len(offers))
+            raise
+        return cls(offers, acceptances)
 
     @property
     def n(self) -> int:
@@ -153,11 +161,8 @@ class Network:
     @cached_property
     def arcs(self) -> frozenset[Arc]:
         """The arcs as (i, j) pairs, built from the mask on first use."""
-        return frozenset(
-            divmod(k, self.n)
-            for k, d in enumerate(_digits_of(self.mask, self.n * self.n))
-            if d == "1"
-        )
+        digits = _digits_of(self.mask, self.n * self.n)
+        return frozenset(divmod(k, self.n) for k, d in enumerate(digits) if d == "1")
 
     def has(self, i: int, j: int) -> bool:
         """Whether arc (i, j) is present."""
@@ -178,9 +183,10 @@ class Network:
     @classmethod
     def from_matrix(cls, rows) -> Network:
         """Network of a square 0/1 adjacency matrix given as a list of
-        rows, read by `bit_rows`; the diagonal is ignored."""
-        cells = b"".join(bit_rows(rows, "adjacency"))
-        n = len(rows)
+        rows, converted by `bit_rows`; the diagonal is ignored."""
+        m = bit_rows(rows, "adjacency")
+        n = len(m)
+        cells = _checked(m, "adjacency", n)
         return cls(n, _mask_of(cells.translate(_CELL_DIGITS)) & ~diagonal(n))
 
     def matrix(self) -> Matrix:
@@ -190,14 +196,11 @@ class Network:
 
 
 def form_network(profile: OfferProfile) -> Network:
-    """Form the network that a profile induces: arc (i, j) exists exactly
-    when i offers to j and j accepts from i.
-
-    The offers, and the acceptances read column by column, become two
-    masks, and the network is their AND.  A mutual self-consent (both
-    diagonals set at i) would create a loop; it is stripped, and
-    `validate_instance` warns about it.
-    """
+    """The network a profile forms: arc (i, j) exists exactly when i offers
+    to j and j accepts from i.  The offers, and the acceptances read column
+    by column, become two masks, and the network is their AND; a mutual
+    self-consent (both diagonals set at i) would be a loop, so it is
+    stripped, and `validate_instance` warns about it."""
     n = profile.n
     offered = _mask_of(b"".join(profile.offers).translate(_CELL_DIGITS))
     accepted = _mask_of(_transposed(b"".join(profile.acceptances), n).translate(_CELL_DIGITS))
@@ -205,10 +208,7 @@ def form_network(profile: OfferProfile) -> Network:
 
 
 def remove_arcs(network: Network, arcs) -> Network:
-    """Return the network with the given arcs removed.
-
-    Every arc to remove must be present; removing an absent arc is an error.
-    """
+    """The network with the given arcs removed; every one must be present."""
     n = network.n
     to_remove = set((int(i), int(j)) for i, j in arcs)
     missing = [a for a in to_remove if not network.has(*a)]

@@ -164,6 +164,19 @@ def oracle_restricted(coalitions, networks, rule: str):
     return [s for s in range(len(networks)) if s not in losers], moves
 
 
+def oracle_disjoint_picks(candidates, count: int):
+    """The first `count` candidates, in order, that share at most one
+    member with every candidate kept before them, each compared with
+    every kept one; fewer when the candidates run out."""
+    chosen = []
+    for cand in candidates:
+        if len(chosen) == count:
+            break
+        if all(len(set(cand) & set(kept)) < 2 for kept in chosen):
+            chosen.append(cand)
+    return chosen
+
+
 def oracle_compromise(rows, refine_ties: bool):
     """Min-max-regret selection on plain Fraction rows: (ideal, regrets,
     row maxima, value, solutions), every number a Fraction.  Ties on the

@@ -466,6 +466,38 @@ def test_generate_infeasible(capsys):
     assert "limit" in err
 
 
+def test_unreachable_disjoint_count_is_refused_in_one_scan():
+    # the disjoint picks keep the member pairs already held, so a count
+    # that no family of 100 players reaches is refused after one linear
+    # pass over the 166,650 candidates; comparing each candidate with
+    # every kept coalition took about a minute
+    src = Path(netform.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "netform.cli", "generate", "--seed", "1", "--players", "100",
+         "--coalitions", "166650", "--disjoint"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=20,
+    )
+    assert done.returncode == 2
+    assert done.stderr == (
+        "error: could not pick 166650 pairwise-disjoint coalitions on 100 players (got 2160)\n"
+    )
+
+
+def test_equilibria_refuses_more_profile_pairs_than_the_limit(capsys, tmp_path):
+    empty = {"offers": [[0, 0], [0, 0]], "acceptances": [[0, 0], [0, 0]]}
+    doc = {
+        "schema": "game-instance/1",
+        "players": 2,
+        "coalitions": [{"members": [1, 2], "income": "1"}],
+        "profiles": [empty] * 363,
+    }
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "equilibria", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: restricted search compares 131406 profile pairs, more than the limit of 131072\n"
+
+
 def test_strict_flag_rejects_anomalous_shares(capsys, tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(save_instance(worked_example()))

@@ -5,13 +5,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netform import ActivationRule, form_network, random_instance, worked_example
 from netform.datasets import intersecting_example
 from netform.model import validate_instance
 from netform.stability import find_overlapping_pair
+
+from oracles import oracle_disjoint_picks
 
 
 def test_worked_example_shape():
@@ -134,3 +139,29 @@ def test_generator_draws_match_sampling_the_candidate_list():
                 inst = random_instance(seed=seed, n=n, coalition_count=k)
                 assert [c.members for c in inst.coalitions] == members
                 assert [c.income for c in inst.coalitions] == incomes
+
+
+@st.composite
+def disjoint_requests(draw):
+    """(seed, n, count): 2 to 25 players and any count up to every candidate."""
+    n = draw(st.integers(min_value=2, max_value=25))
+    total = comb(n, 2) + comb(n, 3)
+    count = draw(st.integers(min_value=0, max_value=total))
+    return draw(st.integers(min_value=0, max_value=2**32)), n, count
+
+
+@given(disjoint_requests())
+@settings(max_examples=150, deadline=None)
+def test_disjoint_picks_match_comparing_every_kept_coalition(request):
+    # the generator keeps the member pairs it has used; the oracle compares
+    # each shuffled candidate with every coalition kept so far
+    seed, n, count = request
+    candidates = [*combinations(range(n), 2), *combinations(range(n), 3)]
+    random.Random(seed).shuffle(candidates)
+    expected = oracle_disjoint_picks(candidates, count)
+    if len(expected) < count:
+        with pytest.raises(ValueError, match=rf"\(got {len(expected)}\)$"):
+            random_instance(seed, n=n, coalition_count=count, disjoint=True)
+    else:
+        inst = random_instance(seed, n=n, coalition_count=count, disjoint=True)
+        assert [c.members for c in inst.coalitions] == expected

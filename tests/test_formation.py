@@ -239,6 +239,10 @@ def test_network_refuses_bad_masks():
         ([[0, 1], [0]], [[0, 0], [0, 0]], "offers must be a square 2x2 matrix"),
         ([[0, 1], [0]], [[0, 256], [0, 0]], "offers must be a square 2x2 matrix"),
         ([[0, 1], [0, 0]], [[0, 0], [0, 0, 0]], "acceptances must be a square 2x2 matrix"),
+        # acceptances of another size: their own fault is named before the size
+        ([[0, 1], [0, 0]], [[0, 0, 0]], "acceptances must be a square 1x1 matrix"),
+        ([[0, 1], [0, 0]], [[0, 2, 0]] * 3, "acceptances[0][1]: entries must be 0 or 1"),
+        ([[0, 1], [0, 0]], [[0, 0, 0]] * 3, "acceptances must be a square 2x2 matrix"),
     ],
 )
 def test_profile_refusals_keep_their_type_and_message(offers, acceptances, message):

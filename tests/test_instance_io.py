@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from netform import (
     save_instance,
     worked_example,
 )
+from netform import formation
 from netform.datasets import intersecting_example
 from netform.formation import Network, OfferProfile
 from netform.instance_io import instance_to_document, load_instance_file, parse_fraction, to_csv
@@ -299,6 +301,29 @@ def test_loaded_profile_rows_are_bytes_of_0_and_1():
             assert {v for row in matrix for v in row} == {0, 1}
 
 
+def test_each_loaded_profile_matrix_is_checked_once(monkeypatch):
+    # `bit_rows` only converts a matrix, and `_checked` alone checks it:
+    # one square check and one 0/1 pass (a `bytes.translate`) per matrix
+    text = save_instance(worked_example())
+    passes = []
+
+    def count(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "translate":
+            passes.append(frame.f_globals["__name__"])
+
+    sys.setprofile(count)
+    try:
+        loaded = load_instance(text)
+    finally:
+        sys.setprofile(None)
+    assert passes == ["netform.formation"] * 2 * len(loaded.profiles)
+    checked = []
+    check = formation._checked
+    monkeypatch.setattr(formation, "_checked", lambda m, name, n: checked.append(name) or check(m, name, n))
+    assert load_instance(text) == loaded
+    assert checked == ["offers", "acceptances"] * len(loaded.profiles)
+
+
 def test_validation_errors_surface_on_load():
     doc = {
         "schema": "game-instance/1",
@@ -398,6 +423,22 @@ def test_exponent_notation_is_refused(field, where):
     with pytest.raises(DocumentError, match=r"exponent notation") as err:
         load_instance(_pair_doc(**field))
     assert str(err.value).startswith(where)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_pair_doc(share=True), "coalitions[0].shares['1']: expected a fraction string, got True"),
+        (
+            _pair_doc().replace('[["0", "0"]]', '[[false, "0"]]'),
+            "payoff_matrix[0][0]: expected a fraction string, got False",
+        ),
+    ],
+)
+def test_a_json_boolean_is_not_a_fraction(doc, message):
+    with pytest.raises(DocumentError) as refused:
+        load_instance(doc)
+    assert str(refused.value) == message
 
 
 def test_csv_export():

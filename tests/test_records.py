@@ -13,6 +13,7 @@ from netform import CoalitionSpec, GameInstance, Network, PayoffMatrix
 from netform.compromise import CompromiseReport
 from netform.formation import OfferProfile
 from netform.model import ValidationReport
+from netform.record import record
 from netform.stability import (
     Deviation,
     ReachableDeviation,
@@ -182,3 +183,13 @@ def test_value_class_contract(cls, fields, args, text, refused):
         with pytest.raises(ValueError, match=message):
             cls(*bad)
 
+
+def test_a_field_without_a_default_may_not_follow_a_default():
+    with pytest.raises(TypeError) as refused:
+
+        @record
+        class Bad:
+            first: int = 0
+            second: int
+
+    assert str(refused.value) == "Bad: a field without a default follows a default"

@@ -26,8 +26,9 @@ from netform import (
     restricted_equilibria,
     worked_example,
 )
+from netform import stability
 from netform.formation import OfferProfile
-from netform.stability import MAX_CUT_SETS, _gray_flips, find_overlapping_pair
+from netform.stability import MAX_CUT_SETS, MAX_PROFILE_PAIRS, _gray_flips, find_overlapping_pair
 
 from oracles import (
     coalition_triples,
@@ -128,6 +129,21 @@ def test_cut_set_limit_is_refused_before_any_search():
     assert 2**21 - 1 > MAX_CUT_SETS
     with pytest.raises(ValueError, match="cut sets"):
         is_stable(inst, star, LINKED)
+
+
+def test_profile_pair_limit_is_refused_before_any_network_is_formed(monkeypatch):
+    # 362 profiles give 130,682 ordered pairs and 363 give 131,406: the
+    # limit sits between them
+    empty = OfferProfile.of([[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    pair = (CoalitionSpec.of((0, 1), 1),)
+    assert 362 * 361 <= MAX_PROFILE_PAIRS < 363 * 362
+    report = restricted_equilibria(GameInstance(n=2, coalitions=pair, profiles=(empty,) * 362), LINKED)
+    assert report.equilibria == tuple(range(362)) and report.deviations == ()
+    over = GameInstance(n=2, coalitions=pair, profiles=(empty,) * 363)
+    monkeypatch.setattr(stability, "form_network", None)  # forming would raise TypeError
+    message = f"compares 131406 profile pairs, more than the limit of {MAX_PROFILE_PAIRS}$"
+    with pytest.raises(ValueError, match=message):
+        restricted_equilibria(over, LINKED)
 
 
 def test_cut_set_search_memory_stays_flat():
