@@ -11,6 +11,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import gcd, lcm
 
 from .compromise import common_denominator
 from .formation import OfferProfile
@@ -123,17 +124,27 @@ class GameInstance:
         turns shares and incomes into payments.  Raises ValueError, before
         scaling any amount, when L needs more than
         `compromise.MAX_DENOMINATOR_BITS` bits."""
-        amounts = [[(m, c.share_of(m) * c.income) for m in c.members] for c in self.coalitions]
+        # each share × income as its reduced numerator and denominator,
+        # reduced as `Fraction` multiplies but without building one
+        paid = []
+        for c in self.coalitions:
+            p, q = c.income.numerator, c.income.denominator
+            members = c.member_set()
+            stakes = []
+            for m in c.members:
+                s = c.shares.get(m)
+                if s and p:
+                    g, h = gcd(s.numerator, q), gcd(p, s.denominator)
+                    stakes.append(
+                        (m, members - {m}, (s.numerator // g) * (p // h), (s.denominator // h) * (q // g))
+                    )
+            paid.append((c.pair_mask(self.n), stakes))
         denominator = common_denominator(
-            {w.denominator for ws in amounts for _, w in ws}, "coalition payments"
+            {d for _, stakes in paid for *_, d in stakes}, "coalition payments"
         )
         return denominator, tuple(
-            (c.pair_mask(self.n), tuple(
-                (m, c.member_set() - {m}, w.numerator * (denominator // w.denominator))
-                for m, w in ws
-                if w
-            ))
-            for c, ws in zip(self.coalitions, amounts)
+            (pairs, tuple((m, others, w * (denominator // d)) for m, others, w, d in stakes))
+            for pairs, stakes in paid
         )
 
 
@@ -188,10 +199,14 @@ def validate_instance(instance: GameInstance, strict: bool = False) -> Validatio
         if set(c.shares) != set(c.members):
             errors.append(_at(idx, c, "share keys must match members exactly"))
         for m, s in c.shares.items():
-            if s < 0:
+            if s.numerator < 0:
                 errors.append(_at(idx, c, f"negative share for player {m + 1}"))
-        total = sum(c.shares.values(), Fraction(0))
-        if total != 1:
+        # the shares sum to 1 when their numerators over a common
+        # denominator add up to it
+        shares = c.shares.values()
+        common = lcm(*(s.denominator for s in shares))
+        if sum(s.numerator * (common // s.denominator) for s in shares) != common:
+            total = sum(shares, Fraction(0))
             msg = _at(idx, c, f"shares sum to {total}, not 1")
             (errors if strict else warnings_).append(msg)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 RULES = ("mutual", "linked")
 
@@ -130,6 +131,60 @@ def oracle_cut_sets(coalitions, g, rule: str):
         return True, None
     paid, p, _, removed = best
     return False, (-paid, p, removed)
+
+
+def oracle_gray_walk(coalitions, g, rule: str):
+    """The partner-set search over every nonempty subset of each player's
+    partners, walked in Gray-code order with the amount paid updated one
+    flip at a time, as the engine walked it before it skipped, kept and
+    split partners.
+
+    Amounts are ints over the least common denominator of every
+    share × income.  Step i of a player's walk flips partner number
+    (trailing zeros of i); a flip of q changes the amount paid through
+    the stakes that hold q and no other member of the cut set S.  The
+    partners, the arcs and the tie-break are those of `oracle_cut_sets`,
+    and so is the result.
+    """
+    n = len(g)
+
+    def unlinking(p, q):
+        present = [(i, j) for i, j in sorted([(p, q), (q, p)]) if g[i][j]]
+        return present[:1] if rule == "mutual" else present
+
+    amounts = [
+        (set(members), {m: shares.get(m, Fraction(0)) * Fraction(income) for m in members})
+        for members, income, shares in coalitions
+        if oracle_active(members, g, rule)
+    ]
+    scale = lcm(*(w.denominator for _, pays in amounts for w in pays.values()))
+    best = None  # (paid, player, arc count, arcs): the least wins
+    for p in range(n):
+        stakes = [
+            (members - {p}, int(pays[p] * scale))
+            for members, pays in amounts
+            if p in members and pays[p]
+        ]
+        partners = sorted(set().union(*(others for others, _ in stakes)))
+        bit_of = {q: 1 << b for b, q in enumerate(partners)}
+        masks = [(sum(bit_of[q] for q in others), w) for others, w in stakes]
+        cut = paid = 0
+        for i in range(1, 1 << len(partners)):
+            bit = i & -i
+            cut ^= bit
+            # the stakes through this partner that no other member of S holds
+            change = sum(w for held, w in masks if held & bit and not cut & held & ~bit)
+            paid += change if cut & bit else -change
+            if paid >= 0 or best is not None and paid > best[0]:
+                continue
+            removed = tuple(sorted(a for q in partners if cut & bit_of[q] for a in unlinking(p, q)))
+            key = (paid, p, len(removed), removed)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return True, None
+    paid, p, _, removed = best
+    return False, (Fraction(-paid, scale), p, removed)
 
 
 def random_adjacency(rng, n: int, p: float):

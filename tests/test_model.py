@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from netform import ActivationRule, CoalitionSpec, GameInstance
 from netform.formation import OfferProfile
@@ -92,6 +96,35 @@ def test_share_sum_strictness():
     assert any("shares sum to 3/4" in w for w in lenient.warnings)
     strict = validate_instance(_inst([c]), strict=True)
     assert any("shares sum to 3/4" in e for e in strict.errors)
+
+
+fractions = st.builds(
+    Fraction, st.integers(-40, 40), st.sampled_from((1, 2, 3, 4, 6, 7, 9, 12, 35, 64))
+)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3), fractions, fractions, fractions), max_size=6))
+def test_int_payments_and_share_sums_match_fraction_arithmetic(rows):
+    # uneven and negative shares, mixed-sign incomes: the index's ints and
+    # the share-sum check agree with plain Fraction products and sums
+    coalitions = [
+        CoalitionSpec.of((a, a + b), income, {a: s, a + b: t}) for a, b, income, s, t in rows
+    ]
+    inst = _inst(coalitions, n=7)
+    products = [[c.share_of(m) * c.income for m in c.members] for c in coalitions]
+    denominator, entries = inst.payoff_index
+    assert denominator == lcm(*(w.denominator for ws in products for w in ws))
+    for c, ws, (_, stakes) in zip(coalitions, products, entries):
+        expected = [(m, c.member_set() - {m}, w * denominator) for m, w in zip(c.members, ws) if w]
+        assert list(stakes) == expected
+        assert all(type(w) is int for _, _, w in stakes)
+    sums = {idx: sum(c.shares.values(), Fraction(0)) for idx, c in enumerate(coalitions)}
+    report = validate_instance(inst)
+    assert [w for w in report.warnings if "shares sum" in w] == [
+        f"coalition {idx + 1} {coalitions[idx].label()}: shares sum to {total}, not 1"
+        for idx, total in sums.items()
+        if total != 1
+    ]
 
 
 def test_profile_dimension_mismatch():

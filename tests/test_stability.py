@@ -36,6 +36,7 @@ from oracles import (
     oracle_best_deviation,
     oracle_cut_sets,
     oracle_form,
+    oracle_gray_walk,
     oracle_restricted,
     random_adjacency,
 )
@@ -120,15 +121,47 @@ def test_network_size_mismatch_rejected():
             check_disjoint_stability(inst, Network.of(n, []), LINKED)
 
 
-def test_cut_set_limit_is_refused_before_any_search():
-    # player 0 could cut any of 2^21 - 1 sets of its 21 partners
+def test_star_of_independent_partners_is_searched_part_by_part():
+    # no stake holds two of player 0's 21 partners, so its 2^21 - 1 sets
+    # are 21 one-partner parts: 21 cut sets, searched
     inst = GameInstance(
         n=22, coalitions=tuple(CoalitionSpec.of((0, k), -1) for k in range(1, 22))
     )
     star = Network.of(22, [a for k in range(1, 22) for a in ((0, k), (k, 0))])
     assert 2**21 - 1 > MAX_CUT_SETS
-    with pytest.raises(ValueError, match="cut sets"):
-        is_stable(inst, star, LINKED)
+    w = is_stable(inst, star, LINKED).witness
+    assert (w.player, w.gain) == (0, Fraction(21, 2))
+    assert w.removed_arcs == tuple(sorted(star.arcs))
+
+
+def test_cut_set_limit_is_refused_before_any_search(monkeypatch):
+    # the triples (0, k, k+1) chain player 0's 21 losing partners into one
+    # part: 2^21 - 1 cut sets.  Players 1 and 21 add 3 each, and players
+    # 2 to 20, whose partners 0, k-1 and k+1 form one part, add 7 each
+    inst = GameInstance(
+        n=22, coalitions=tuple(CoalitionSpec.of((0, k, k + 1), -1) for k in range(1, 21))
+    )
+    complete = Network.of(22, [(i, j) for i in range(22) for j in range(22) if i != j])
+    monkeypatch.setattr(stability, "_best_cut", None)  # searching would raise TypeError
+    total = 2**21 - 1 + 2 * 3 + 19 * 7
+    message = (
+        f"^stability search needs {total} cut sets over its partners worth cutting, "
+        f"more than the limit of {MAX_CUT_SETS}$"
+    )
+    with pytest.raises(ValueError, match=message):
+        is_stable(inst, complete, LINKED)
+
+
+@pytest.mark.parametrize("seed, player, gain", [(1, 20, Fraction(33, 2)), (2, 14, Fraction(43, 3))])
+def test_complete_40_player_networks_get_a_verdict(seed, player, gain):
+    # every partner set would be about 12 billion cut sets; the partners
+    # worth cutting, part by part, are 111,280 (seed 1) and 12,870 (seed 2)
+    inst = random_instance(seed, n=40, coalition_count=300)
+    complete = Network.of(40, [(i, j) for i in range(40) for j in range(40) if i != j])
+    w = is_stable(inst, complete, LINKED).witness
+    assert (w.player, w.gain) == (player, gain)
+    before = payoff_vector(inst, complete, LINKED)[player]
+    assert payoff_vector(inst, w.resulting_network, LINKED)[player] - before == gain
 
 
 def test_profile_pair_limit_is_refused_before_any_network_is_formed(monkeypatch):
@@ -147,27 +180,25 @@ def test_profile_pair_limit_is_refused_before_any_network_is_formed(monkeypatch)
 
 
 def test_cut_set_search_memory_stays_flat():
-    # player 0 linked both ways to 12 partners: 4,095 cut sets, walked
-    # one at a time instead of held in a list (0.42 MiB when listed)
+    # the triples (0, q, q+1) chain player 0's 12 partners into one part,
+    # and each partner holds a losing triple: 4,095 cut sets, walked one
+    # at a time instead of held in a list (0.42 MiB when listed)
     k = 12
     inst = GameInstance(
         n=k + 1,
-        coalitions=tuple(CoalitionSpec.of((0, q), -1 if q % 2 else 1) for q in range(1, k + 1)),
+        coalitions=tuple(CoalitionSpec.of((0, q, q + 1), -1 if q % 2 else 1) for q in range(1, k)),
     )
-    star = Network.of(k + 1, [a for q in range(1, k + 1) for a in ((0, q), (q, 0))])
+    complete = [(i, j) for i in range(k + 1) for j in range(k + 1) if i != j]
     tracemalloc.start()
     try:
-        report = is_stable(inst, star, LINKED)
+        report = is_stable(inst, Network.of(k + 1, complete), LINKED)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * 2**20
-    # cutting every odd partner switches off exactly the losing pairs
-    assert report.witness.player == 0
-    assert report.witness.gain == Fraction(k // 2, 2)
-    assert report.witness.removed_arcs == tuple(
-        sorted(a for q in range(1, k + 1, 2) for a in ((0, q), (q, 0)))
-    )
+    w = report.witness
+    stable, best = oracle_cut_sets(coalition_triples(inst), matrix_of(complete, k + 1), "linked")
+    assert not stable and (w.gain, w.player, w.removed_arcs) == best
 
 
 def test_brute_force_matches_oracle_on_random_cases():
@@ -353,21 +384,22 @@ UNEVEN_SHARES = [Fraction(s) for s in ("0", "1/12", "1/3", "1/2", "2/3", "1", "5
 
 
 @st.composite
-def dense_cases(draw):
-    """An instance of up to 10 players and n to 3n coalitions (as many as
-    exist on fewer than 4 players), with uneven shares and incomes over
-    denominators dividing 12, and a complete network that lacks at most
-    n of its arcs."""
-    n = draw(st.integers(min_value=2, max_value=10))
+def dense_cases(draw, max_players=10, fewest=None):
+    """An instance of up to `max_players` players and `fewest` (default
+    n) to 3n coalitions (as many as exist on fewer than 4 players), with
+    uneven shares and incomes over denominators dividing 12, and a
+    complete network that lacks at most n of its arcs."""
+    n = draw(st.integers(min_value=2, max_value=max_players))
     groups = [ms for size in (2, 3) for ms in combinations(range(n), size)]
     income = st.builds(
         Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 12))
     )
     shares = st.sampled_from(UNEVEN_SHARES)
+    least = min(n if fewest is None else fewest, len(groups))
     coalitions = tuple(
         CoalitionSpec.of(ms, draw(income), {m: draw(shares) for m in ms})
         for ms in draw(st.lists(
-            st.sampled_from(groups), min_size=min(n, len(groups)), max_size=3 * n, unique=True
+            st.sampled_from(groups), min_size=least, max_size=3 * n, unique=True
         ))
     )
     player = st.integers(min_value=0, max_value=n - 1)
@@ -394,6 +426,61 @@ def test_gray_walk_matches_combinations_walk(case, rule):
         assert w.resulting_network == Network.of(inst.n, set(arcs) - set(removed))
 
 
+@given(dense_cases(max_players=14, fewest=1), st.sampled_from(list(ActivationRule)))
+@settings(max_examples=100, deadline=None)
+def test_reduced_search_matches_the_full_gray_walk(case, rule):
+    # skipping players, keeping partners and splitting the rest into parts
+    # must leave the witness as the walk over every partner set finds it;
+    # the combinations walk judges both up to 9 players
+    inst, arcs = case
+    g = matrix_of(arcs, inst.n)
+    stable, best = oracle_gray_walk(coalition_triples(inst), g, rule.value)
+    if inst.n <= 9:
+        assert oracle_cut_sets(coalition_triples(inst), g, rule.value) == (stable, best)
+    w = is_stable(inst, Network.of(inst.n, arcs), rule).witness
+    got = None if w is None else repr((w.player, w.removed_arcs, w.gain))
+    assert got == (None if stable else repr((best[1], best[2], best[0])))
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Parts of up to 8 players each, at least 40 players in all."""
+    parts = []
+    while sum(inst.n for inst, _ in parts) < 40:
+        parts.append(draw(dense_cases(max_players=8, fewest=1)))
+    return parts
+
+
+@given(disjoint_unions(), st.sampled_from(list(ActivationRule)))
+@settings(max_examples=25, deadline=None)
+def test_disjoint_union_is_judged_part_by_part(parts, rule):
+    # players of different parts share no coalition, so the union is
+    # stable iff every part is, and its witness is that of the first part
+    # with the largest gain, relabelled
+    coalitions, arcs, offset, witnesses = [], [], 0, []
+    for inst, part_arcs in parts:
+        coalitions += [
+            CoalitionSpec.of(
+                [m + offset for m in c.members], c.income,
+                {m + offset: s for m, s in c.shares.items()},
+            )
+            for c in inst.coalitions
+        ]
+        arcs += [(i + offset, j + offset) for i, j in part_arcs]
+        w = is_stable(inst, Network.of(inst.n, part_arcs), rule).witness
+        if w is not None:
+            moved = tuple((i + offset, j + offset) for i, j in w.removed_arcs)
+            witnesses.append((-w.gain, w.player + offset, moved))
+        offset += inst.n
+    union = GameInstance(n=offset, coalitions=tuple(coalitions))
+    report = is_stable(union, Network.of(offset, arcs), rule)
+    assert report.stable == (not witnesses)
+    if witnesses:
+        loss, player, removed = min(witnesses)
+        w = report.witness
+        assert (w.gain, w.player, w.removed_arcs) == (-loss, player, removed)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 7, 8, 9, 12])
 def test_gray_walk_visits_every_partner_set_once(k):
     # the walk repeats a block of 255 flips between the flips of partners
@@ -405,11 +492,20 @@ def test_gray_walk_visits_every_partner_set_once(k):
     assert sorted(visited) == list(range(1, 1 << k))
 
 
-def test_walks_past_the_first_block_match_the_reference():
-    # complete 11-player networks: several players can cut 9 or 10
-    # partners, so their walks run past the first block of 255 sets
-    for seed in (4, 5):
-        drawn = random_instance(seed=seed, n=11, coalition_count=40, income_range=(-6, 6))
+def test_walks_past_the_first_block_match_the_reference(monkeypatch):
+    # complete 11-player networks with 60 coalitions: even after the
+    # reductions, some players walk parts of 9 or 10 partners, past the
+    # first block of 255 sets
+    walked = []
+
+    def spy(network, player, rule, partners, stakes, limit):
+        walked.append(len(partners))
+        return best_cut(network, player, rule, partners, stakes, limit)
+
+    best_cut = stability._best_cut
+    monkeypatch.setattr(stability, "_best_cut", spy)
+    for seed in (3, 4):
+        drawn = random_instance(seed=seed, n=11, coalition_count=60, income_range=(-6, 6))
         rng = random.Random(seed)
         inst = GameInstance(n=11, coalitions=tuple(
             CoalitionSpec.of(c.members, c.income, {m: rng.choice(UNEVEN_SHARES) for m in c.members})
@@ -417,7 +513,9 @@ def test_walks_past_the_first_block_match_the_reference():
         ))
         arcs = [(i, j) for i in range(11) for j in range(11) if i != j]
         for rule in ActivationRule:
+            walked.clear()
             report = is_stable(inst, Network.of(11, arcs), rule)
+            assert max(walked) >= 9
             stable, best = oracle_cut_sets(coalition_triples(inst), matrix_of(arcs, 11), rule.value)
             assert not stable
             w = report.witness
