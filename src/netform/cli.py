@@ -18,12 +18,12 @@ import sys
 from .compromise import PayoffMatrix, compromise_solution
 from .datasets import BUILTIN, random_instance
 from .formation import Network, form_network
-from .instance_io import load_instance_file, parse_json, save_instance, to_csv, validated_warnings
+from .instance_io import load_instance_file, parse_json, save_instance, validated_warnings
 from .model import ActivationRule, GameInstance
 from .payoffs import payoff_vector
 
-# `netform.stability` is imported by the commands that search, and `json`
-# where a record is printed as JSON: the other commands never load them
+# `netform.stability` is imported by the commands that search, `json` and
+# `csv` by the formats that print them: the other commands never load them
 
 
 def _load(name: str, strict: bool) -> GameInstance:
@@ -63,8 +63,9 @@ def _emit(fmt: str, record: dict, grid, text) -> None:
 
         print(json.dumps(record, indent=2))
     elif fmt == "csv":
-        header, *rows = grid(record)
-        print(to_csv(header, rows).rstrip("\n"))
+        import csv
+
+        csv.writer(sys.stdout, lineterminator="\n").writerows(grid(record))
     else:
         print(text(record))
 
@@ -75,12 +76,14 @@ def _profile_grid(rows: list[list[str]], n: int, extra=()) -> list[list[str]]:
     return [header] + [[str(k + 1)] + row for k, row in enumerate(rows)]
 
 
-def _witness(w) -> dict:
-    return {
-        "player": w.player + 1,
-        "removed_arcs": _arcs_1based(w.removed_arcs),
-        "gain": str(w.gain),
-    }
+def _verdict(report) -> dict:
+    """A stability report's `stable` flag and, when it is false, its witness."""
+    if report.stable:
+        return {"stable": True}
+    w = report.witness
+    arcs = _arcs_1based(w.removed_arcs)
+    witness = {"player": w.player + 1, "removed_arcs": arcs, "gain": str(w.gain)}
+    return {"stable": False, "witness": witness}
 
 
 def _witness_text(w: dict) -> str:
@@ -88,19 +91,18 @@ def _witness_text(w: dict) -> str:
     return f"player {w['player']} removes {arcs} and gains {w['gain']}"
 
 
-# ---- form
-
-
-def _profile_networks(instance: GameInstance, which: int | None) -> list[tuple[int, Network]]:
-    if not instance.profiles:
+def _stored(instance: GameInstance, which: int | None = None) -> range:
+    """The indices of every stored profile, or of the 1-based profile
+    `which`: every command that reads stored profiles selects them here."""
+    count = len(instance.profiles)
+    if not count:
         raise ValueError("instance has no stored profiles")
-    if which is None:
-        return [(k, form_network(p)) for k, p in enumerate(instance.profiles)]
-    if not 1 <= which <= len(instance.profiles):
-        raise ValueError(
-            f"profile {which} out of range 1..{len(instance.profiles)}"
-        )
-    return [(which - 1, form_network(instance.profiles[which - 1]))]
+    if which is not None and not 1 <= which <= count:
+        raise ValueError(f"profile {which} out of range 1..{count}")
+    return range(count) if which is None else range(which - 1, which)
+
+
+# ---- form
 
 
 def _form_grid(record: dict) -> list[list]:
@@ -124,7 +126,8 @@ def cmd_form(args) -> int:
                 "matrix": [list(row) for row in net.matrix()],
                 "arcs": _arcs_1based(net.arcs),
             }
-            for k, net in _profile_networks(instance, args.profile)
+            for k in _stored(instance, args.profile)
+            for net in [form_network(instance.profiles[k])]
         ]
     }
     _emit(args.format, record, _form_grid, _form_text)
@@ -145,7 +148,7 @@ def _map_profiles(engine, instance: GameInstance, rule, jobs: int) -> list:
     CPUs.  Each process gets one chunk of profiles, so the instance is
     pickled once per process, not once per profile."""
     worker = functools.partial(_profile_worker, engine, instance, rule)
-    indices = range(len(instance.profiles))
+    indices = _stored(instance)
     workers = min(jobs, len(indices), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool pulls in multiprocessing, which every
@@ -239,8 +242,7 @@ def cmd_equilibria(args) -> int:
     instance = _load(args.instance, args.strict)
     rule = _rule(instance, args)
     if args.mode == "restricted":
-        if not instance.profiles:
-            raise ValueError("restricted mode needs stored profiles")
+        _stored(instance)  # refuses an instance without stored profiles
         report = restricted_equilibria(instance, rule)
         failed = len(report.equilibria) < len(instance.profiles)
         record = {
@@ -261,12 +263,7 @@ def cmd_equilibria(args) -> int:
     else:
         reports = _map_profiles(is_stable, instance, rule, args.jobs)
         failed = any(not r.stable for r in reports)
-        items = []
-        for k, rep in enumerate(reports):
-            item = {"profile": k + 1, "stable": rep.stable}
-            if not rep.stable:
-                item["witness"] = _witness(rep.witness)
-            items.append(item)
+        items = [{"profile": k + 1, **_verdict(rep)} for k, rep in enumerate(reports)]
         record = {"mode": "full", "rule": rule.value, "profiles": items}
         _emit(args.format, record, _full_grid, _full_text)
     if args.assert_stable and failed:
@@ -296,9 +293,7 @@ def cmd_compromise(args) -> int:
             raise ValueError("instance carries no reference payoff table")
         rows = instance.payoff_matrix
     else:
-        rows = tuple(
-            payoff_vector(instance, net, rule) for _, net in _profile_networks(instance, None)
-        )
+        rows = tuple(_map_profiles(payoff_vector, instance, rule, 1))
     matrix = PayoffMatrix.of(rows)
     report = compromise_solution(matrix, refine_ties=args.refine_ties)
     shown = (
@@ -344,11 +339,10 @@ def cmd_check_disjoint(args) -> int:
             text = file.read()
         net = Network.from_matrix(parse_json(text, "network file is "))
     else:
-        [(_, net)] = _profile_networks(instance, args.profile)
+        [k] = _stored(instance, args.profile)
+        net = form_network(instance.profiles[k])
     report = check_disjoint_stability(instance, net, rule)
-    record = {"rule": rule.value, "stable": report.stable}
-    if not report.stable:
-        record["witness"] = _witness(report.witness)
+    record = {"rule": rule.value, **_verdict(report)}
     _emit(args.format, record, None, _disjoint_text)
     return 0 if report.stable else 1
 
@@ -419,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=_job_count,
             default=1,
             metavar="N",
-            help="compute profiles in N processes (output is identical)",
+            help="run payoffs and equilibria --mode full in N processes (output is identical)",
         )
 
     p_form = sub.add_parser("form", help="form networks from stored profiles")

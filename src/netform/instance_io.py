@@ -62,10 +62,14 @@ def parse_fraction(value, where: str) -> Fraction:
     raise DocumentError(f"{where}: expected a fraction string, got {type(value).__name__}")
 
 
-def _expect(doc: dict, key: str, kind, where: str):
+def _field(doc: dict, key: str, where: str):
     if key not in doc:
         raise DocumentError(f"{where}: missing required field {key!r}")
-    value = doc[key]
+    return doc[key]
+
+
+def _expect(doc: dict, key: str, kind, where: str):
+    value = _field(doc, key, where)
     if not isinstance(value, kind) or isinstance(value, bool):
         names = (
             "/".join(k.__name__ for k in kind)
@@ -133,9 +137,9 @@ def instance_from_document(doc) -> GameInstance:
         where = f"profiles[{idx}]"
         if not isinstance(raw, dict):
             raise DocumentError(f"{where}: expected an object")
-        offers = _expect(raw, "offers", list, where)
-        acceptances = _expect(raw, "acceptances", list, where)
-        try:
+        offers = _field(raw, "offers", where)
+        acceptances = _field(raw, "acceptances", where)
+        try:  # bit_rows refuses a matrix that is not a list of rows
             profiles.append(OfferProfile.of(offers, acceptances))
         except ValueError as exc:
             raise DocumentError(f"{where}.{exc}") from None
@@ -274,15 +278,3 @@ def load_instance_file(path, strict: bool = False) -> tuple[GameInstance, tuple[
     with open(path, encoding="utf-8") as file:
         text = file.read()
     return _load_checked(text, strict)
-
-
-def to_csv(header, rows) -> str:
-    """CSV text with a header row; values are written as given."""
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()

@@ -375,7 +375,6 @@ def restricted_equilibria(
                 gain = payoffs[t][player] - payoffs[s][player]
                 if gain > 0:
                     found.append(ReachableDeviation(s, t, player, Fraction(gain, denominator)))
-    found.sort(key=lambda d: (d.source, d.target, d.player))
     losers = {d.source for d in found}
     equilibria = tuple(s for s in range(len(networks)) if s not in losers)
     return RestrictedEquilibriaReport(equilibria, tuple(found))

@@ -455,6 +455,31 @@ def test_generate_deterministic_and_disjoint(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["form"],
+        ["form", "1"],
+        ["payoffs"],
+        ["payoffs", "--jobs", "2"],
+        ["equilibria", "--assert-stable"],
+        ["equilibria", "--mode", "full", "--assert-stable"],
+        ["compromise", "--source", "computed"],
+        ["check-disjoint", "--profile", "1"],
+    ],
+    ids=" ".join,
+)
+def test_every_command_that_reads_stored_profiles_refuses_an_instance_without_them(
+    capsys, tmp_path, argv
+):
+    path = tmp_path / "gen.json"
+    assert run(capsys, "generate", "--seed", "7", "-o", str(path)) == (0, "", "")
+    command, *flags = argv
+    assert run(capsys, command, str(path), *flags) == (
+        2, "", "error: instance has no stored profiles\n"
+    )
+
+
 def test_generate_infeasible(capsys):
     code, _, err = run(
         capsys, "generate", "--seed", "0", "--players", "4", "--coalitions", "20", "--disjoint"
@@ -715,9 +740,10 @@ def test_profiles_that_are_not_a_list_are_refused(capsys, tmp_path, profiles, ki
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({**doc, "profiles": profiles}))
     code, out, err = run(capsys, "payoffs", str(path))
-    if kind is None:  # null is an absent field, as for payoff_matrix
+    if kind is None:  # null is an absent field, as for payoff_matrix: no stored profiles
         path.write_text(json.dumps(doc))
-        assert (code, out, err) == (0, *run(capsys, "payoffs", str(path))[1:])
+        assert (code, out, err) == run(capsys, "payoffs", str(path))
+        assert (code, out, err) == (2, "", "error: instance has no stored profiles\n")
     else:
         assert (code, out) == (2, "")
         assert err == f"error: document.profiles: expected list, got {kind}\n"

@@ -27,7 +27,7 @@ from netform import (
 from netform import formation
 from netform.datasets import intersecting_example
 from netform.formation import Network, OfferProfile
-from netform.instance_io import instance_to_document, load_instance_file, parse_fraction, to_csv
+from netform.instance_io import instance_to_document, load_instance_file, parse_fraction
 
 DATA = Path(__file__).parent / "data"
 
@@ -216,6 +216,7 @@ def test_first_bad_profile_cell_is_named(field, bad, later_bad):
 
 
 BAD_CELLS = [2, -1, 256, 10**30, True, False, 1.0, "1", None, [1], [[0]], {}]
+NOT_LISTS = [{}, "ab", 3, True, None]  # outer values that are no list of rows at all
 NAME = re.compile(r"^(offers|acceptances|adjacency)(.*)$")
 
 
@@ -247,9 +248,9 @@ def _outcome(read):
 
 def _oracle(rows):
     """What reading rows as a 0/1 matrix gives, checked one rule at a time."""
-    n = len(rows)
-    if not all(type(row) is list for row in rows):
+    if type(rows) is not list or not all(type(row) is list for row in rows):
         return "refused", " must be a list of rows"
+    n = len(rows)
     if any(len(row) != n for row in rows):
         return "refused", f" must be a square {n}x{n} matrix"
     for r, row in enumerate(rows):
@@ -259,13 +260,17 @@ def _oracle(rows):
     return "ok", tuple(bytes(row) for row in rows)
 
 
-@given(nested_matrices(), st.sampled_from(["offers", "acceptances"]))
+@given(
+    st.one_of(st.sampled_from(NOT_LISTS), nested_matrices()),
+    st.sampled_from(["offers", "acceptances"]),
+)
 @settings(max_examples=300)
 def test_every_matrix_reader_names_the_first_bad_cell(rows, field):
     # the loader, OfferProfile.of, OfferProfile(...) on bytes rows and
     # Network.from_matrix accept the same matrices, read the same rows and
-    # refuse the same first bad cell, by its position
-    n = len(rows)
+    # refuse the same first bad cell, by its position, or a value that is
+    # no list of rows with one message
+    n = len(rows) if type(rows) is list else 2
     matrices = {"offers": [[0] * n for _ in range(n)], "acceptances": [[0] * n for _ in range(n)]}
     matrices[field] = rows
     doc = {
@@ -278,7 +283,7 @@ def test_every_matrix_reader_names_the_first_bad_cell(rows, field):
     loaded = _outcome(lambda: getattr(load_instance(json.dumps(doc)).profiles[0], field))
     assert loaded == expected
     assert _outcome(lambda: getattr(OfferProfile.of(**matrices), field)) == expected
-    if all(type(row) is list and len(row) == n for row in rows) and all(
+    if type(rows) is list and all(type(row) is list and len(row) == n for row in rows) and all(
         type(v) is int and 0 <= v < 256 for row in rows for v in row
     ):
         as_bytes = {k: tuple(map(bytes, m)) for k, m in matrices.items()}
@@ -439,8 +444,3 @@ def test_a_json_boolean_is_not_a_fraction(doc, message):
     with pytest.raises(DocumentError) as refused:
         load_instance(doc)
     assert str(refused.value) == message
-
-
-def test_csv_export():
-    text = to_csv(["a", "b"], [[1, "x"], [2, "y"]])
-    assert text == "a,b\n1,x\n2,y\n"
