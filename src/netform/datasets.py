@@ -8,6 +8,7 @@ loaded leniently on purpose.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -100,6 +101,18 @@ _REFERENCE_PAYOFFS = [
 ]
 
 
+@cache
+def _worked_tables() -> tuple[tuple[OfferProfile, ...], tuple[tuple[Fraction, ...], ...]]:
+    """The worked example's profiles and reference table, built on first
+    use and shared by every instance `worked_example` returns: both are
+    immutable, and rebuilding them took longer than validating the
+    instance."""
+    return (
+        tuple(OfferProfile.of(o, a) for o, a in _PROFILES),
+        tuple(tuple(Fraction(v) for v in row) for row in _REFERENCE_PAYOFFS),
+    )
+
+
 def worked_example() -> GameInstance:
     """Five players, twelve coalitions (two with negative income), ten
     offer/acceptance profiles, and a reference payoff table.
@@ -107,14 +120,14 @@ def worked_example() -> GameInstance:
     Activation defaults to LINKED, the reading that reproduces the
     table's self-consistent entries; the table also has a few entries
     that disagree with any recomputation (see the tests for the list).
+    Each call returns a new instance, with its own `payoff_index`.
     """
+    profiles, payoffs = _worked_tables()
     return GameInstance(
         n=5,
         coalitions=tuple(_COALITIONS),
-        profiles=tuple(OfferProfile.of(o, a) for o, a in _PROFILES),
-        payoff_matrix=tuple(
-            tuple(Fraction(v) for v in row) for row in _REFERENCE_PAYOFFS
-        ),
+        profiles=profiles,
+        payoff_matrix=payoffs,
         default_rule=ActivationRule.LINKED,
     )
 
@@ -125,6 +138,18 @@ _INTERSECTING_PAIRS = [
 ]
 
 
+@cache
+def _intersecting_profiles() -> tuple[OfferProfile]:
+    """The intersecting example's one profile, which offers and accepts
+    every link of the companion network; built on first use, like
+    `_worked_tables`."""
+    adjacency = [[0] * 5 for _ in range(5)]
+    for a, b in _INTERSECTING_PAIRS:
+        adjacency[a - 1][b - 1] = 1
+        adjacency[b - 1][a - 1] = 1
+    return (OfferProfile.of(adjacency, adjacency),)
+
+
 def intersecting_example() -> GameInstance:
     """Five players and four overlapping triple coalitions, one of them
     with negative income, every share 1/3.
@@ -133,12 +158,9 @@ def intersecting_example() -> GameInstance:
     refuses this instance; brute force still shows that the companion
     network, formed by its one profile, is stable.  Activation defaults
     to MUTUAL, matching the all-links-present reading of its source.
+    Each call returns a new instance with new coalitions, whose shares
+    are dicts.
     """
-    adjacency = [[0] * 5 for _ in range(5)]
-    for a, b in _INTERSECTING_PAIRS:
-        adjacency[a - 1][b - 1] = 1
-        adjacency[b - 1][a - 1] = 1
-    profile = OfferProfile.of(adjacency, adjacency)
     return GameInstance(
         n=5,
         coalitions=(
@@ -147,7 +169,7 @@ def intersecting_example() -> GameInstance:
             _c((1, 4, 5), 2),
             _c((3, 4, 5), 2),
         ),
-        profiles=(profile,),
+        profiles=_intersecting_profiles(),
         default_rule=ActivationRule.MUTUAL,
     )
 

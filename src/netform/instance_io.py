@@ -225,14 +225,18 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def parse_json(text: str, prefix: str = ""):
-    """The value a JSON text holds.  Bad JSON, a repeated object key and
-    nesting too deep for the parser's recursion raise DocumentError, whose
-    message starts with prefix + "not valid JSON: "."""
+    """The value a JSON text holds.  Bad JSON, an integer literal longer
+    than the interpreter's digit limit and nesting too deep for the
+    parser's recursion raise DocumentError, whose message starts with
+    prefix + "not valid JSON: "; a repeated object key raises
+    `_unique_keys`' own."""
     import json  # here: a command that reads no document never loads it
 
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except DocumentError:
+        raise
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise DocumentError(f"{prefix}not valid JSON: {exc}") from None
 
 

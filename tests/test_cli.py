@@ -771,6 +771,26 @@ def test_json_nested_too_deeply_is_refused(capsys, tmp_path, nested):
         assert err.startswith(f"error: {prefix}") and err.count("\n") == 1
 
 
+def test_an_integer_past_the_digit_limit_is_refused(capsys, tmp_path):
+    digits = "9" * 5000
+    big = tmp_path / "big.json"
+    big.write_text(save_instance(worked_example()).replace('"players": 5', '"players": ' + digits, 1))
+    cell = tmp_path / "cell.json"
+    cell.write_text("[[0, " + digits + "], [1, 0]]")
+    inst = tmp_path / "inst.json"
+    inst.write_text(save_instance(random_instance(seed=3, n=2, coalition_count=1)))
+    for argv, prefix in [
+        (["payoffs", str(big)], "not valid JSON: "),
+        (["check-disjoint", str(inst), "--network", str(cell)], "network file is not valid JSON: "),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # an interpreter without a digit limit parses it, and a check refuses it
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert err.startswith(f"error: {prefix}")
+
+
 @pytest.mark.parametrize("code, usage", [(0, False), (1, False), (2, False), (2, True)])
 @pytest.mark.parametrize("collecting", [True, False])
 def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, code, usage, collecting):

@@ -71,6 +71,32 @@ def test_intersecting_network_is_symmetric_sixteen_arcs():
     }
 
 
+def _pins_the_builtin_contract(factory):
+    """Two calls give equal, distinct instances that share their
+    immutable tables, and a payoff index built on one stays its own."""
+    a, b = factory(), factory()
+    assert a == b and a is not b
+    assert a.profiles is b.profiles
+    assert "payoff_index" not in vars(a)
+    a.payoff_index
+    assert "payoff_index" in vars(a) and "payoff_index" not in vars(b)
+    assert all(
+        type(row) is bytes for p in a.profiles for row in (*p.offers, *p.acceptances)
+    )
+    return a, b
+
+
+def test_worked_example_shares_its_tables_and_no_instance():
+    a, b = _pins_the_builtin_contract(worked_example)
+    assert a.payoff_matrix is b.payoff_matrix
+
+
+def test_intersecting_example_shares_its_profile_and_no_instance():
+    a, b = _pins_the_builtin_contract(intersecting_example)
+    # its coalitions, whose shares are dicts, are built per call
+    assert a.coalitions[0].shares is not b.coalitions[0].shares
+
+
 def test_generator_is_deterministic():
     a = random_instance(seed=42, n=5, coalition_count=4)
     b = random_instance(seed=42, n=5, coalition_count=4)

@@ -92,6 +92,16 @@ def test_not_json_is_a_positioned_parse_error():
         load_instance("{nope")
 
 
+def test_an_integer_past_the_digit_limit_is_refused_as_a_document():
+    doc = instance_to_document(worked_example())
+    text = json.dumps(doc).replace('"players": 5', '"players": ' + "9" * 5000, 1)
+    with pytest.raises(DocumentError) as refused:
+        load_instance(text)
+    # an interpreter without a digit limit parses it, and validation refuses it
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert str(refused.value).startswith("not valid JSON: ")
+
+
 @pytest.mark.parametrize("strict", [False, True])
 def test_a_key_written_twice_is_refused_at_any_depth(strict):
     text = save_instance(worked_example())

@@ -481,6 +481,47 @@ def test_disjoint_union_is_judged_part_by_part(parts, rule):
         assert (w.gain, w.player, w.removed_arcs) == (-loss, player, removed)
 
 
+@given(dense_cases(max_players=6), st.sampled_from(list(ActivationRule)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_relabelling_the_players_permutes_the_payoffs_and_keeps_the_verdict(case, rule, data):
+    # player p becomes player perm[p]; the witness player may change,
+    # because ties between players are broken by index
+    inst, arcs = case
+    perm = data.draw(st.permutations(range(inst.n)))
+    relabelled = GameInstance(n=inst.n, coalitions=tuple(
+        CoalitionSpec.of([perm[m] for m in c.members], c.income,
+                         {perm[m]: s for m, s in c.shares.items()})
+        for c in inst.coalitions
+    ))
+    net = Network.of(inst.n, arcs)
+    moved = Network.of(inst.n, [(perm[i], perm[j]) for i, j in arcs])
+    payoffs, moved_payoffs = payoff_vector(inst, net, rule), payoff_vector(relabelled, moved, rule)
+    assert [moved_payoffs[perm[p]] for p in range(inst.n)] == list(payoffs)
+    report, moved_report = is_stable(inst, net, rule), is_stable(relabelled, moved, rule)
+    assert moved_report.stable == report.stable
+    if not report.stable:
+        assert moved_report.witness.gain == report.witness.gain
+
+
+@given(
+    dense_cases(max_players=6),
+    st.sampled_from(list(ActivationRule)),
+    st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)),
+)
+@settings(max_examples=100, deadline=None)
+def test_scaling_every_income_scales_the_gain_and_keeps_the_witness(case, rule, factor):
+    inst, arcs = case
+    scaled = GameInstance(n=inst.n, coalitions=tuple(
+        CoalitionSpec.of(c.members, c.income * factor, c.shares) for c in inst.coalitions
+    ))
+    net = Network.of(inst.n, arcs)
+    report, scaled_report = is_stable(inst, net, rule), is_stable(scaled, net, rule)
+    assert scaled_report.stable == report.stable
+    if not report.stable:
+        w, v = report.witness, scaled_report.witness
+        assert (v.player, v.removed_arcs, v.gain) == (w.player, w.removed_arcs, w.gain * factor)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 7, 8, 9, 12])
 def test_gray_walk_visits_every_partner_set_once(k):
     # the walk repeats a block of 255 flips between the flips of partners
