@@ -17,8 +17,8 @@ import sys
 
 from .compromise import PayoffMatrix, compromise_solution
 from .datasets import BUILTIN, random_instance
-from .formation import Network, form_network
-from .instance_io import load_instance_file, parse_json, save_instance, validated_warnings
+from .formation import form_network
+from .instance_io import load_instance_file, load_network_file, save_instance, validated_warnings
 from .model import ActivationRule, GameInstance
 from .payoffs import payoff_vector
 
@@ -335,9 +335,7 @@ def cmd_check_disjoint(args) -> int:
     instance = _load(args.instance, args.strict)
     rule = _rule(instance, args)
     if args.network is not None:
-        with open(args.network, encoding="utf-8") as file:
-            text = file.read()
-        net = Network.from_matrix(parse_json(text, "network file is "))
+        net = load_network_file(args.network)
     else:
         [k] = _stored(instance, args.profile)
         net = form_network(instance.profiles[k])

@@ -120,12 +120,13 @@ def worked_example() -> GameInstance:
     Activation defaults to LINKED, the reading that reproduces the
     table's self-consistent entries; the table also has a few entries
     that disagree with any recomputation (see the tests for the list).
-    Each call returns a new instance, with its own `payoff_index`.
+    Each call returns a new instance, with its own `payoff_index` and
+    new coalitions, whose shares are dicts.
     """
     profiles, payoffs = _worked_tables()
     return GameInstance(
         n=5,
-        coalitions=tuple(_COALITIONS),
+        coalitions=tuple(CoalitionSpec(c.members, c.income, dict(c.shares)) for c in _COALITIONS),
         profiles=profiles,
         payoff_matrix=payoffs,
         default_rule=ActivationRule.LINKED,

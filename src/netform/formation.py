@@ -89,15 +89,23 @@ def _checked(m: Matrix, name: str, n: int) -> bytes:
     return cells
 
 
+def _int_cells(rows) -> bool:
+    """Whether every cell of rows is an int, and so none is a bool: the
+    one pass over the cells that `bit_rows` makes, for rows not all `bytes`."""
+    return set(map(type, chain.from_iterable(rows))) <= {int}
+
+
 def bit_rows(rows, name: str) -> Matrix:
     """The `bytes` rows, for `_checked` to check, of a list or tuple of
-    rows (lists, tuples or `bytes`, as a parsed JSON document holds or
-    `Network.matrix()` returns); rows it cannot convert raise ValueError."""
+    rows (lists, tuples or `bytes`, as `instance_io` reads a document's
+    matrices or `Network.matrix()` returns); rows it cannot convert raise
+    ValueError.  Rows that are all `bytes` are returned as they are: a
+    `bytes` cell is an int below 256, never a bool."""
     if not isinstance(rows, (list, tuple)) or not all(map(isinstance, rows, repeat(_ROW))):
         raise ValueError(f"{name} must be a list of rows")
     try:  # bytes() takes any int below 256, and a bool, whose type is not int
         m = tuple(map(bytes, rows))
-        if set(map(type, chain.from_iterable(rows))) <= {int}:
+        if all(map(isinstance, rows, repeat(bytes))) or _int_cells(rows):
             return m
     except (TypeError, ValueError):
         pass

@@ -4,14 +4,21 @@ Incomes, shares, and payoff-table entries travel as exact fraction
 strings ("3", "-6", "5/4"); floats are rejected so nothing is ever
 rounded.  Players and profile indices are 1-based in documents and on
 every CLI surface, 0-based inside the engine.
+
+The parser reads the integer literals 0 and 1 as the one-byte cells
+b"\x00" and b"\x01", so a row of a 0/1 matrix becomes its `bytes` row
+with one join.  Every other read of a number turns such a cell back
+into its int (`_number`), so no cell leaves this module.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from itertools import repeat
 
-from .formation import OfferProfile
+from .formation import Network, OfferProfile
 from .model import (
     ActivationRule,
     CoalitionSpec,
@@ -62,6 +69,26 @@ def parse_fraction(value, where: str) -> Fraction:
     raise DocumentError(f"{where}: expected a fraction string, got {type(value).__name__}")
 
 
+def _number(value):
+    """A parsed value, with a 0/1 cell read back as its int."""
+    return _CELL_INTS.get(value, value) if type(value) is bytes else value
+
+
+def _bit_cells(rows):
+    """A parsed 0/1 matrix as `formation.bit_rows` takes it: its `bytes`
+    rows, one join per row, when every row is a list of 0/1 cells;
+    otherwise the rows with their cells read back as ints, which
+    `bit_rows` converts or refuses as it does any list of rows."""
+    if type(rows) is not list:
+        return _number(rows)
+    if all(map(isinstance, rows, repeat(list))):
+        try:  # join refuses every cell but a 0/1 one: true, 2, -0, "1", null, a list
+            return tuple(map(b"".join, rows))
+        except TypeError:
+            pass
+    return [list(map(_number, row)) if type(row) is list else _number(row) for row in rows]
+
+
 def _field(doc: dict, key: str, where: str):
     if key not in doc:
         raise DocumentError(f"{where}: missing required field {key!r}")
@@ -69,7 +96,7 @@ def _field(doc: dict, key: str, where: str):
 
 
 def _expect(doc: dict, key: str, kind, where: str):
-    value = _field(doc, key, where)
+    value = _number(_field(doc, key, where))
     if not isinstance(value, kind) or isinstance(value, bool):
         names = (
             "/".join(k.__name__ for k in kind)
@@ -91,7 +118,7 @@ def instance_from_document(doc) -> GameInstance:
 
     def fraction(value, where: str) -> Fraction:
         if type(value) is not str:
-            return parse_fraction(value, where)
+            return parse_fraction(_number(value), where)
         if value not in parsed:
             parsed[value] = parse_fraction(value, where)
         return parsed[value]
@@ -111,7 +138,7 @@ def instance_from_document(doc) -> GameInstance:
             raise DocumentError(f"{where}: expected an object")
         members_raw = _expect(raw, "members", list, where)
         members = []
-        for m in members_raw:
+        for m in map(_number, members_raw):
             if isinstance(m, bool) or not isinstance(m, int):
                 raise DocumentError(f"{where}.members: players must be integers")
             members.append(m - 1)
@@ -137,8 +164,8 @@ def instance_from_document(doc) -> GameInstance:
         where = f"profiles[{idx}]"
         if not isinstance(raw, dict):
             raise DocumentError(f"{where}: expected an object")
-        offers = _field(raw, "offers", where)
-        acceptances = _field(raw, "acceptances", where)
+        offers = _bit_cells(_field(raw, "offers", where))
+        acceptances = _bit_cells(_field(raw, "acceptances", where))
         try:  # bit_rows refuses a matrix that is not a list of rows
             profiles.append(OfferProfile.of(offers, acceptances))
         except ValueError as exc:
@@ -161,7 +188,7 @@ def instance_from_document(doc) -> GameInstance:
 
     default_rule = None
     if doc.get("default_rule") is not None:
-        raw_rule = doc["default_rule"]
+        raw_rule = _number(doc["default_rule"])
         try:
             default_rule = ActivationRule(raw_rule)
         except ValueError:
@@ -224,16 +251,34 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def parse_json(text: str, prefix: str = ""):
-    """The value a JSON text holds.  Bad JSON, an integer literal longer
-    than the interpreter's digit limit and nesting too deep for the
-    parser's recursion raise DocumentError, whose message starts with
-    prefix + "not valid JSON: "; a repeated object key raises
-    `_unique_keys`' own."""
+class _Literals(dict):
+    """The value of a JSON integer literal, looked up by its text: the
+    literals 0 and 1 are the cells b"\x00" and b"\x01", each one cached
+    object, and every other literal is converted to an int."""
+
+    def __missing__(self, literal: str) -> int:
+        try:
+            return int(literal)
+        except ValueError:  # the scanner passes only valid literals: this is the digit limit
+            raise ValueError(
+                f"an integer literal has more than {sys.get_int_max_str_digits()} digits"
+            ) from None
+
+
+_LITERALS = _Literals({"0": b"\x00", "1": b"\x01"})
+_CELL_INTS = {b"\x00": 0, b"\x01": 1}
+
+
+def _parse_json(text: str, prefix: str = ""):
+    """The value a JSON text holds, with its 0/1 literals as `_LITERALS`
+    cells.  Bad JSON, an integer literal longer than the interpreter's
+    digit limit and nesting too deep for the parser's recursion raise
+    DocumentError, whose message starts with prefix + "not valid JSON: ";
+    a repeated object key raises `_unique_keys`' own."""
     import json  # here: a command that reads no document never loads it
 
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_LITERALS.__getitem__)
     except DocumentError:
         raise
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
@@ -244,7 +289,7 @@ def _load_checked(text: str, strict: bool) -> tuple[GameInstance, tuple[str, ...
     """The instance a JSON document describes and its validation
     warnings; structural problems, a repeated object key and validation
     errors raise DocumentError."""
-    instance = instance_from_document(parse_json(text))
+    instance = instance_from_document(_parse_json(text))
     return instance, validated_warnings(instance, strict)
 
 
@@ -282,3 +327,13 @@ def load_instance_file(path, strict: bool = False) -> tuple[GameInstance, tuple[
     with open(path, encoding="utf-8") as file:
         text = file.read()
     return _load_checked(text, strict)
+
+
+def load_network_file(path) -> Network:
+    """The network whose JSON adjacency matrix a file holds, read as a
+    document's profile matrices are; bad JSON raises DocumentError
+    starting "network file is not valid JSON: ", and a matrix
+    `Network.from_matrix` refuses raises its ValueError."""
+    with open(path, encoding="utf-8") as file:
+        text = file.read()
+    return Network.from_matrix(_bit_cells(_parse_json(text, "network file is ")))

@@ -1,7 +1,9 @@
 """Independent reference implementations for cross-checking the engine.
 
 Everything here works on plain adjacency-matrix rows and bitmask subset
-enumeration, deliberately sharing no code with the package internals.
+enumeration, deliberately sharing no code with the package internals;
+`oracle_load` alone reuses the package's public conversion of an
+already parsed document, the part it is not checking.
 """
 
 from __future__ import annotations
@@ -248,3 +250,21 @@ def oracle_compromise(rows, refine_ties: bool):
         least = min(keys.values())
         solutions = [i for i in solutions if keys[i] == least]
     return ideal, regrets, row_max, value, solutions
+
+
+def oracle_load(text: str):
+    """("ok", instance) or ("refused", message): what loading a JSON
+    document gives when it is parsed by plain `json.loads`, every integer
+    literal an int, and the parsed dict is then converted and validated
+    by the package's public `instance_from_document` and
+    `validated_warnings`, leniently."""
+    import json
+
+    from netform.instance_io import DocumentError, instance_from_document, validated_warnings
+
+    try:
+        instance = instance_from_document(json.loads(text))
+        validated_warnings(instance, False)
+    except DocumentError as exc:
+        return "refused", str(exc)
+    return "ok", instance

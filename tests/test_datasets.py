@@ -97,6 +97,14 @@ def test_intersecting_example_shares_its_profile_and_no_instance():
     assert a.coalitions[0].shares is not b.coalitions[0].shares
 
 
+def test_mutating_one_worked_example_leaves_the_next_as_published():
+    changed = worked_example()
+    changed.coalitions[0].shares[0] = Fraction(9)
+    fresh = worked_example()
+    assert fresh.coalitions[0].shares == {0: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}
+    assert validate_instance(fresh).warnings == ("coalition 7 (1,4,2): shares sum to 5/4, not 1",)
+
+
 def test_generator_is_deterministic():
     a = random_instance(seed=42, n=5, coalition_count=4)
     b = random_instance(seed=42, n=5, coalition_count=4)

@@ -29,6 +29,8 @@ from netform.datasets import intersecting_example
 from netform.formation import Network, OfferProfile
 from netform.instance_io import instance_to_document, load_instance_file, parse_fraction
 
+from oracles import oracle_load
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -99,7 +101,18 @@ def test_an_integer_past_the_digit_limit_is_refused_as_a_document():
         load_instance(text)
     # an interpreter without a digit limit parses it, and validation refuses it
     if hasattr(sys, "get_int_max_str_digits"):
-        assert str(refused.value).startswith("not valid JSON: ")
+        limit = sys.get_int_max_str_digits()
+        assert str(refused.value) == f"not valid JSON: an integer literal has more than {limit} digits"
+
+
+@pytest.mark.parametrize("field", ['"members": [', '"offers": [[', '"payoff_matrix": [['])
+def test_an_over_long_literal_in_any_field_is_refused_while_parsing(field):
+    text = json.dumps(instance_to_document(worked_example())).replace(field, field + "9" * 5000 + ", ", 1)
+    assert text.count("9" * 5000) == 1
+    with pytest.raises(DocumentError) as refused:
+        load_instance(text)
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert str(refused.value).startswith("not valid JSON: an integer literal has more than ")
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -337,6 +350,83 @@ def test_each_loaded_profile_matrix_is_checked_once(monkeypatch):
     monkeypatch.setattr(formation, "_checked", lambda m, name, n: checked.append(name) or check(m, name, n))
     assert load_instance(text) == loaded
     assert checked == ["offers", "acceptances"] * len(loaded.profiles)
+
+
+def test_a_document_of_0_1_literals_never_runs_the_per_cell_type_pass(monkeypatch):
+    # the loader joins each row of 0/1 literals into `bytes`, which no
+    # bool can be, so `bit_rows` has no cell to look at; a list of ints
+    # from a caller still takes the pass
+    passes = []
+    int_cells = formation._int_cells
+    monkeypatch.setattr(formation, "_int_cells", lambda rows: passes.append(rows) or int_cells(rows))
+    assert load_instance(save_instance(worked_example())) == worked_example()
+    assert passes == []
+    OfferProfile.of([[0, 1], [0, 0]], [[0, 0], [1, 0]])
+    assert len(passes) == 2
+
+
+def test_a_bool_cell_from_a_caller_is_still_refused():
+    with pytest.raises(ValueError, match=r"^offers\[0\]\[1\]: entries must be 0 or 1$"):
+        OfferProfile.of([[0, True], [0, 0]], [[0, 0], [0, 0]])
+
+
+# literals that the parser reads as cells (0, 1), as ints (-0, 2), or as
+# values of another type; each may stand in any numeric field of a document
+LITERALS = ["0", "1", "-0", "2", "true", '"1"', "1.0"]
+LITERAL_FIELDS = ["schema", "players", "members", "income", "shares", "cells", "payoffs", "default_rule"]
+
+
+def _raw_json(value) -> str:
+    """The JSON text of nested dicts and lists whose leaves are JSON texts."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_raw_json(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_raw_json, value)) + "]"
+    return value
+
+
+@st.composite
+def literal_documents(draw):
+    """The JSON text of a small document in which up to three kinds of
+    field hold drawn literals in place of some of their valid values."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    chosen = draw(st.sets(st.sampled_from(LITERAL_FIELDS), max_size=3))
+
+    def value(field, valid):
+        return draw(st.sampled_from([valid, valid] + LITERALS)) if field in chosen else valid
+
+    def matrix():
+        rows = [[draw(st.sampled_from(["0", "1"])) for _ in range(n)] for _ in range(n)]
+        if "cells" in chosen:
+            for r, c in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2)):
+                rows[r][c] = draw(st.sampled_from(LITERALS))
+        return rows
+
+    return _raw_json({
+        "schema": value("schema", '"game-instance/1"'),
+        "players": value("players", str(n)),
+        "coalitions": [{
+            "members": [value("members", "1"), value("members", "2")],
+            "income": value("income", '"3"'),
+            "shares": {"1": value("shares", '"1/2"'), "2": value("shares", '"1/2"')},
+        }],
+        "profiles": [{"offers": matrix(), "acceptances": matrix()} for _ in range(2)],
+        "payoff_matrix": [[value("payoffs", '"1"') for _ in range(n)] for _ in range(2)],
+        "default_rule": value("default_rule", '"linked"'),
+    })
+
+
+@given(literal_documents())
+@settings(max_examples=300)
+def test_0_1_literals_load_as_plain_ints_do(text):
+    # reading 0 and 1 as cells changes no accepted instance and no
+    # refusal, and no message names the cells' type
+    try:
+        loaded = "ok", load_instance(text)
+    except DocumentError as exc:
+        loaded = "refused", str(exc)
+    assert loaded == oracle_load(text)
+    assert "bytes" not in str(loaded[1])
 
 
 def test_validation_errors_surface_on_load():
