@@ -59,12 +59,13 @@ def upper(n: int) -> int:
     return _mask_of("".join("0" * (i + 1) + "1" * (n - i - 1) for i in range(n)))
 
 
-@cache
-def stars(n: int) -> tuple[int, ...]:
-    """Per player p, the mask of every arc that touches p."""
-    first_column = sum(1 << (i * n) for i in range(n))
+def common_ends(mask: int, n: int) -> list[int]:
+    """The players, in order, that every arc of a nonempty mask touches:
+    those ends of its lowest arc whose row and column hold the mask."""
     row = (1 << n) - 1
-    return tuple(row << (p * n) | first_column << p for p in range(n))
+    column = ((1 << n * n) - 1) // row  # bit i*n for each i
+    low = (mask & -mask).bit_length() - 1
+    return [p for p in sorted(divmod(low, n)) if not mask & ~(row << p * n | column << p)]
 
 
 def _bad_cell(rows, name: str) -> ValueError:

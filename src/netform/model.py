@@ -21,6 +21,13 @@ from .record import record
 # player, so a document of a few bytes could otherwise ask for gigabytes.
 MAX_PLAYERS = 1024
 
+# Most bits the coalitions' pair masks in `GameInstance.payoff_index` may
+# hold together.  A mask reaches bit low*n + high of its highest pair, so
+# at 1024 players one 3-member coalition can take 128 KiB whatever its
+# size in JSON.  The limit is 128 MiB of masks: 1,000 random triples on
+# 1024 players hold about 520 million bits.
+MAX_INDEX_BITS = 2**30
+
 
 class ActivationRule(Enum):
     """When a coalition counts as active in a network.
@@ -72,15 +79,11 @@ class CoalitionSpec:
         """Unordered member pairs, each as (low, high)."""
         return tuple(combinations(sorted(self.members), 2))
 
-    def pair_mask(self, n: int) -> int:
-        """The member pairs as a pair-graph mask on n players: bit
-        low*n + high per pair.  A pair that no n-player network links (a
-        repeated or out-of-range member) sets bit n*n, which no pair
-        graph holds."""
-        mask = 0
-        for i, j in self.pairs():
-            mask |= 1 << (i * n + j if 0 <= i < j < n else n * n)
-        return mask
+    def pair_bits(self, n: int) -> tuple[int, ...]:
+        """The member pairs as pair-graph bits on n players: low*n + high
+        per pair.  A pair that no n-player network links (a repeated or
+        out-of-range member) is bit n*n, which no pair graph holds."""
+        return tuple(i * n + j if 0 <= i < j < n else n * n for i, j in self.pairs())
 
     def label(self) -> str:
         return "(" + ",".join(str(m + 1) for m in self.members) + ")"
@@ -118,16 +121,23 @@ class GameInstance:
         coalitions, built on first use: `(L, entries)`, where L is the
         least common denominator of every share × income and `entries`
         holds, per coalition in instance order, `(pairs, stakes)`: the
-        coalition's `pair_mask` and `(member, co-members, share × income
-        × L)` for each member paid a nonzero amount, the co-members as a
-        frozenset and the amount as an int.  This is the only place that
-        turns shares and incomes into payments.  Raises ValueError, before
-        scaling any amount, when L needs more than
-        `compromise.MAX_DENOMINATOR_BITS` bits."""
+        mask of the coalition's `pair_bits` and `(member, co-members,
+        share × income × L)` for each member paid a nonzero amount, the
+        co-members as a frozenset and the amount as an int.  This is the
+        only place that turns shares and incomes into payments.  Raises
+        ValueError, before building any mask, when the masks would hold
+        more than MAX_INDEX_BITS bits, and before scaling any amount, when
+        L needs more than `compromise.MAX_DENOMINATOR_BITS` bits."""
+        bits = [c.pair_bits(self.n) for c in self.coalitions]
+        size = sum(max(b, default=-1) + 1 for b in bits)
+        if size > MAX_INDEX_BITS:
+            raise ValueError(
+                f"coalition pair masks need {size} bits, more than the limit of {MAX_INDEX_BITS}"
+            )
         # each share × income as its reduced numerator and denominator,
         # reduced as `Fraction` multiplies but without building one
         paid = []
-        for c in self.coalitions:
+        for c, pair_bits in zip(self.coalitions, bits):
             p, q = c.income.numerator, c.income.denominator
             members = c.member_set()
             stakes = []
@@ -138,7 +148,7 @@ class GameInstance:
                     stakes.append(
                         (m, members - {m}, (s.numerator // g) * (p // h), (s.denominator // h) * (q // g))
                     )
-            paid.append((c.pair_mask(self.n), stakes))
+            paid.append((sum(1 << b for b in set(pair_bits)), stakes))
         denominator = common_denominator(
             {d for _, stakes in paid for *_, d in stakes}, "coalition payments"
         )

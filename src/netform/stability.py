@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .formation import Arc, Network, form_network, remove_arcs, stars
+from .formation import Arc, Network, common_ends, form_network, remove_arcs
 from .model import ActivationRule, CoalitionSpec, GameInstance
 from .payoffs import _active, _totals, unlinking_arcs
 from .record import record
@@ -345,7 +345,8 @@ def restricted_equilibria(
     a nonempty arc set that is entirely incident to a single player.
     Only strictly improving moves are reported.  Both tests are on masks:
     the target t is a proper part of the source s when `t & ~s == 0` and
-    t != s, and the removed arcs all touch p when they lie in p's star.
+    t != s, and the removed arcs all touch p for each p of their
+    `formation.common_ends`, at most the two ends of the lowest one.
     Payoffs are compared as ints over the index's denominator L; a
     reported gain becomes a `Fraction` over L.  Raises ValueError, before
     forming any network, when there are more than MAX_PROFILE_PAIRS
@@ -361,17 +362,13 @@ def restricted_equilibria(
     networks = [form_network(p) for p in instance.profiles]
     payoffs = [_totals(instance, g, rule) for g in networks]
     masks = [g.mask for g in networks]
-    stars_of = stars(instance.n)
     found: list[ReachableDeviation] = []
     for s, gs in enumerate(masks):
         outside = ~gs
         for t, gt in enumerate(masks):
             if gt & outside or gt == gs:  # not a proper subnetwork
                 continue
-            removed = gs ^ gt
-            for player, star in enumerate(stars_of):
-                if removed & ~star:
-                    continue
+            for player in common_ends(gs ^ gt, instance.n):
                 gain = payoffs[t][player] - payoffs[s][player]
                 if gain > 0:
                     found.append(ReachableDeviation(s, t, player, Fraction(gain, denominator)))

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netform
-from netform import cli
+from netform import cli, model
 from netform.cli import build_parser, main
 from netform.formation import OfferProfile
 from netform.instance_io import save_instance
@@ -304,6 +304,36 @@ def test_payoff_commands_refuse_a_huge_common_denominator(capsys, tmp_path):
     code, out, err = run(capsys, "check-disjoint", str(path), "--network", str(linked))
     assert (code, out) == (2, "")
     assert err == "error: coalition payments need a common denominator of more than 1024 bits\n"
+
+
+def test_payoff_commands_refuse_an_oversized_payoff_index(capsys, tmp_path, monkeypatch):
+    # the worked example's twelve pair masks hold 152 bits in all
+    path = tmp_path / "worked.json"
+    path.write_text(save_instance(worked_example()))
+    monkeypatch.setattr(model, "MAX_INDEX_BITS", 152)
+    assert run(capsys, "payoffs", str(path))[0] == 0
+    monkeypatch.setattr(model, "MAX_INDEX_BITS", 151)
+    message = "error: coalition pair masks need 152 bits, more than the limit of 151\n"
+    for command in (
+        ["payoffs"],
+        ["equilibria"],
+        ["equilibria", "--mode", "full"],
+        ["compromise", "--source", "computed"],
+    ):
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert (code, out) == (2, ""), command
+        assert err.endswith("\n" + message)
+    # forming networks needs no payments
+    assert run(capsys, "form", str(path))[0] == 0
+    # one pair {1, 2} on two players: its mask reaches bit 1
+    monkeypatch.setattr(model, "MAX_INDEX_BITS", 1)
+    pair = {"members": [1, 2], "income": "1"}
+    path.write_text(json.dumps({"schema": "game-instance/1", "players": 2, "coalitions": [pair]}))
+    linked = tmp_path / "linked.json"
+    linked.write_text(json.dumps([[0, 1], [1, 0]]))
+    code, out, err = run(capsys, "check-disjoint", str(path), "--network", str(linked))
+    assert (code, out) == (2, "")
+    assert err == "error: coalition pair masks need 2 bits, more than the limit of 1\n"
 
 
 def test_check_disjoint_rejects_overlap(capsys):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from netform import Network, form_network, load_instance
 from netform.cli import main
-from netform.formation import OfferProfile, remove_arcs
+from netform.formation import OfferProfile, common_ends, remove_arcs
 from netform.model import validate_instance
 
 from oracles import oracle_form
@@ -216,6 +216,14 @@ def test_remove_arcs_is_set_difference(case, rng):
     net = Network.of(n, arcs)
     gone = {a for a in sorted(arcs) if rng.random() < 0.5}
     assert remove_arcs(net, gone).arcs == arcs - gone
+
+
+@given(arc_sets(max_n=6))
+@settings(max_examples=150)
+def test_common_ends_are_the_players_every_arc_touches(case):
+    n, arcs = case
+    if arcs:
+        assert common_ends(Network.of(n, arcs).mask, n) == [p for p in range(n) if all(p in a for a in arcs)]
 
 
 def test_network_refuses_bad_masks():

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from netform import ActivationRule, CoalitionSpec, GameInstance
+from netform import ActivationRule, CoalitionSpec, GameInstance, model
 from netform.formation import OfferProfile
-from netform.model import MAX_PLAYERS, validate_instance
+from netform.model import MAX_INDEX_BITS, MAX_PLAYERS, validate_instance
 
 
 def _inst(coalitions, n=5, **kwargs):
@@ -29,6 +31,45 @@ def test_pairs_and_label():
     c = CoalitionSpec.of((2, 0, 4), 1)
     assert c.pairs() == ((0, 2), (0, 4), (2, 4))
     assert c.label() == "(3,1,5)"
+
+
+def test_pair_bits_place_each_pair_at_low_n_plus_high():
+    assert CoalitionSpec.of((2, 0, 3), 1).pair_bits(4) == (2, 3, 11)
+    # a repeated or out-of-range member's pair is bit n*n
+    assert CoalitionSpec.of((1, 1, 2), 1).pair_bits(4) == (16, 6, 6)
+    assert CoalitionSpec.of((0, 4), 1).pair_bits(4) == (16,)
+
+
+def test_payoff_index_size_is_refused_at_the_edge(monkeypatch):
+    # the masks reach bits 1, 11 and 11 (of pairs {0,1}, {2,3} and {2,3}):
+    # 2 + 12 + 12 = 26 bits in all
+    coalitions = [CoalitionSpec.of((0, 1), 1), CoalitionSpec.of((2, 3), 1), CoalitionSpec.of((1, 2, 3), 1)]
+    monkeypatch.setattr(model, "MAX_INDEX_BITS", 26)
+    _, entries = _inst(coalitions, n=4).payoff_index
+    assert [pairs for pairs, _ in entries] == [0b10, 1 << 11, 1 << 6 | 1 << 7 | 1 << 11]
+    monkeypatch.setattr(model, "MAX_INDEX_BITS", 25)
+    with pytest.raises(ValueError, match="^coalition pair masks need 26 bits, more than the limit of 25$"):
+        _inst(coalitions, n=4).payoff_index
+
+
+def test_a_refused_payoff_index_builds_no_mask():
+    # triples (a, b, 1023) on 1,024 players: each mask would reach bit
+    # 1024*b + 1023, so about 1,030 of them pass the limit, 128 MiB of masks
+    triples = ((a, b, 1023) for b in range(1022, 0, -1) for a in range(b))
+    coalitions, size = [], 0
+    while size <= MAX_INDEX_BITS:
+        a, b, c = next(triples)
+        coalitions.append(CoalitionSpec.of((a, b, c), 1))
+        size += 1024 * b + c + 1
+    inst = _inst(coalitions, n=1024)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"need {size} bits, more than the limit of {MAX_INDEX_BITS}$"):
+            inst.payoff_index
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(coalitions) == 1026 and peak < 2 * 2**20
 
 
 def test_valid_instance_passes():

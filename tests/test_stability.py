@@ -28,6 +28,7 @@ from netform import (
 )
 from netform import stability
 from netform.formation import OfferProfile
+from netform.payoffs import _active, active_coalitions
 from netform.stability import MAX_CUT_SETS, MAX_PROFILE_PAIRS, _gray_flips, find_overlapping_pair
 
 from oracles import (
@@ -380,6 +381,50 @@ def test_restricted_equilibria_empty_profiles():
     assert report.deviations == ()
 
 
+def test_a_removal_that_touches_both_ends_moves_each_player_that_gains():
+    # profile 1 forms only the arc 2 -> 1 (0-based (1, 0)), profile 2 is empty
+    inst = GameInstance(
+        n=2,
+        coalitions=(CoalitionSpec.of((0, 1), -2),),
+        profiles=(
+            OfferProfile.of([[0, 0], [1, 0]], [[0, 1], [0, 0]]),
+            OfferProfile.of([[0, 0], [0, 0]], [[0, 0], [0, 0]]),
+        ),
+    )
+    report = restricted_equilibria(inst, LINKED)
+    assert [(d.source, d.target, d.player, d.gain) for d in report.deviations] == [
+        (0, 1, 0, Fraction(1)),
+        (0, 1, 1, Fraction(1)),
+    ]
+    assert report.equilibria == (1,)
+    # one arc never links the pair under MUTUAL, so nobody pays or gains
+    assert restricted_equilibria(inst, MUTUAL) == stability.RestrictedEquilibriaReport((0, 1), ())
+
+
+def test_restricted_equilibria_memory_follows_the_profiles():
+    # 1,024 players: player 1's star and the empty network, as bytes rows
+    # (4 MiB in all, built before tracing); a mask per player would take
+    # 128 MiB
+    n = 1024
+    star = (b"\x00" + b"\x01" * (n - 1),) + (b"\x01" + bytes(n - 1),) * (n - 1)
+    empty = (bytes(n),) * n
+    inst = GameInstance(
+        n=n,
+        coalitions=(CoalitionSpec.of((0, 1), -2), CoalitionSpec.of((0, 2, 3), 3)),
+        profiles=(OfferProfile(star, star), OfferProfile(empty, empty)),
+    )
+    tracemalloc.start()
+    try:
+        report = restricted_equilibria(inst, LINKED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert report == stability.RestrictedEquilibriaReport(
+        (1,), (stability.ReachableDeviation(0, 1, 0, Fraction(1)),)
+    )
+
+
 UNEVEN_SHARES = [Fraction(s) for s in ("0", "1/12", "1/3", "1/2", "2/3", "1", "5/4")]
 
 
@@ -501,6 +546,45 @@ def test_relabelling_the_players_permutes_the_payoffs_and_keeps_the_verdict(case
     assert moved_report.stable == report.stable
     if not report.stable:
         assert moved_report.witness.gain == report.witness.gain
+
+
+@given(dense_cases(max_players=6), st.sampled_from(list(ActivationRule)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_networks_with_the_same_active_coalitions_get_the_same_verdict(case, rule, data):
+    # the class relation: payoffs, the verdict and the best gain depend
+    # only on the set of active coalitions; the witness arcs may differ.
+    # h is the symmetric network on the member pairs of g's active coalitions
+    inst, arcs = case
+    g = Network.of(inst.n, data.draw(st.sets(st.sampled_from(arcs))) if arcs else ())
+    pairs = {pair for c in active_coalitions(inst, g, rule) for pair in c.pairs()}
+    h = Network.of(inst.n, [arc for i, j in pairs for arc in ((i, j), (j, i))])
+    assert _active(inst, h, rule) == _active(inst, g, rule)
+    assert payoff_vector(inst, h, rule) == payoff_vector(inst, g, rule)
+    report, class_report = is_stable(inst, g, rule), is_stable(inst, h, rule)
+    assert class_report.stable == report.stable
+    if not report.stable:
+        w, v = report.witness, class_report.witness
+        assert (v.gain, v.player) == (w.gain, w.player)
+
+
+@pytest.mark.parametrize("rule", list(ActivationRule))
+def test_worked_example_classes_of_active_coalitions(rule):
+    # every symmetric network on the 5 players: 2^10 pair graphs, whose
+    # active sets fall into 236 classes, 115 of them stable
+    inst = worked_example()
+    pairs = list(combinations(range(5), 2))
+    verdicts, stable_graphs = {}, 0
+    for chosen in range(1 << len(pairs)):
+        linked = [p for b, p in enumerate(pairs) if chosen >> b & 1]
+        g = Network.of(5, [arc for i, j in linked for arc in ((i, j), (j, i))])
+        report = is_stable(inst, g, rule)
+        verdict = (report.stable, None if report.stable else report.witness.gain)
+        verdicts.setdefault(tuple(_active(inst, g, rule)), set()).add(verdict)
+        stable_graphs += report.stable
+    assert len(verdicts) == 236
+    assert all(len(held) == 1 for held in verdicts.values())
+    assert sum((True, None) in held for held in verdicts.values()) == 115
+    assert stable_graphs == 446
 
 
 @given(
