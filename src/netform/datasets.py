@@ -102,17 +102,6 @@ _REFERENCE_PAYOFFS = [
 
 
 @cache
-def _worked_tables() -> tuple[tuple[OfferProfile, ...], tuple[tuple[Fraction, ...], ...]]:
-    """The worked example's profiles and reference table, built on first
-    use and shared by every instance `worked_example` returns: both are
-    immutable, and rebuilding them took longer than validating the
-    instance."""
-    return (
-        tuple(OfferProfile.of(o, a) for o, a in _PROFILES),
-        tuple(tuple(Fraction(v) for v in row) for row in _REFERENCE_PAYOFFS),
-    )
-
-
 def worked_example() -> GameInstance:
     """Five players, twelve coalitions (two with negative income), ten
     offer/acceptance profiles, and a reference payoff table.
@@ -120,15 +109,15 @@ def worked_example() -> GameInstance:
     Activation defaults to LINKED, the reading that reproduces the
     table's self-consistent entries; the table also has a few entries
     that disagree with any recomputation (see the tests for the list).
-    Each call returns a new instance, with its own `payoff_index` and
-    new coalitions, whose shares are dicts.
+    The instance is built on the first call in a process, and every
+    call returns that one instance: it is immutable, so its payoff
+    index is built once too.
     """
-    profiles, payoffs = _worked_tables()
     return GameInstance(
         n=5,
-        coalitions=tuple(CoalitionSpec(c.members, c.income, dict(c.shares)) for c in _COALITIONS),
-        profiles=profiles,
-        payoff_matrix=payoffs,
+        coalitions=_COALITIONS,
+        profiles=tuple(OfferProfile.of(o, a) for o, a in _PROFILES),
+        payoff_matrix=tuple(tuple(Fraction(v) for v in row) for row in _REFERENCE_PAYOFFS),
         default_rule=ActivationRule.LINKED,
     )
 
@@ -140,28 +129,22 @@ _INTERSECTING_PAIRS = [
 
 
 @cache
-def _intersecting_profiles() -> tuple[OfferProfile]:
-    """The intersecting example's one profile, which offers and accepts
-    every link of the companion network; built on first use, like
-    `_worked_tables`."""
-    adjacency = [[0] * 5 for _ in range(5)]
-    for a, b in _INTERSECTING_PAIRS:
-        adjacency[a - 1][b - 1] = 1
-        adjacency[b - 1][a - 1] = 1
-    return (OfferProfile.of(adjacency, adjacency),)
-
-
 def intersecting_example() -> GameInstance:
     """Five players and four overlapping triple coalitions, one of them
-    with negative income, every share 1/3.
+    with negative income, every share 1/3, and one profile that offers
+    and accepts every link of the companion network.
 
     Because the coalitions overlap, the fast disjoint stability criterion
     refuses this instance; brute force still shows that the companion
     network, formed by its one profile, is stable.  Activation defaults
     to MUTUAL, matching the all-links-present reading of its source.
-    Each call returns a new instance with new coalitions, whose shares
-    are dicts.
+    Built on the first call in a process, like `worked_example`, and
+    every call returns that one instance.
     """
+    adjacency = [[0] * 5 for _ in range(5)]
+    for a, b in _INTERSECTING_PAIRS:
+        adjacency[a - 1][b - 1] = 1
+        adjacency[b - 1][a - 1] = 1
     return GameInstance(
         n=5,
         coalitions=(
@@ -170,7 +153,7 @@ def intersecting_example() -> GameInstance:
             _c((1, 4, 5), 2),
             _c((3, 4, 5), 2),
         ),
-        profiles=_intersecting_profiles(),
+        profiles=(OfferProfile.of(adjacency, adjacency),),
         default_rule=ActivationRule.MUTUAL,
     )
 

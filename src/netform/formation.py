@@ -59,13 +59,18 @@ def upper(n: int) -> int:
     return _mask_of("".join("0" * (i + 1) + "1" * (n - i - 1) for i in range(n)))
 
 
+@cache
+def column(n: int) -> int:
+    """The mask of the arcs (i, 0): bit i*n for each i."""
+    return ((1 << n * n) - 1) // ((1 << n) - 1)
+
+
 def common_ends(mask: int, n: int) -> list[int]:
     """The players, in order, that every arc of a nonempty mask touches:
     those ends of its lowest arc whose row and column hold the mask."""
-    row = (1 << n) - 1
-    column = ((1 << n * n) - 1) // row  # bit i*n for each i
+    row, col = (1 << n) - 1, column(n)
     low = (mask & -mask).bit_length() - 1
-    return [p for p in sorted(divmod(low, n)) if not mask & ~(row << p * n | column << p)]
+    return [p for p in sorted(divmod(low, n)) if not mask & ~(row << p * n | col << p)]
 
 
 def _bad_cell(rows, name: str) -> ValueError:
@@ -100,8 +105,11 @@ def bit_rows(rows, name: str) -> Matrix:
     """The `bytes` rows, for `_checked` to check, of a list or tuple of
     rows (lists, tuples or `bytes`, as `instance_io` reads a document's
     matrices or `Network.matrix()` returns); rows it cannot convert raise
-    ValueError.  Rows that are all `bytes` are returned as they are: a
-    `bytes` cell is an int below 256, never a bool."""
+    ValueError.  Rows that are all exactly `bytes` are returned as they
+    are, with no conversion: a `bytes` cell is an int below 256, never a
+    bool.  Rows of a `bytes` subclass are converted to `bytes`."""
+    if isinstance(rows, (list, tuple)) and set(map(type, rows)) <= {bytes}:
+        return tuple(rows)
     if not isinstance(rows, (list, tuple)) or not all(map(isinstance, rows, repeat(_ROW))):
         raise ValueError(f"{name} must be a list of rows")
     try:  # bytes() takes any int below 256, and a bool, whose type is not int

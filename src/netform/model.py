@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .compromise import common_denominator
 from .formation import OfferProfile
@@ -49,12 +50,23 @@ class CoalitionSpec:
     """A 2- or 3-player coalition with an income and per-member shares.
 
     Income may be negative.  Shares are kept exactly as given; whether
-    they sum to 1 is a validation concern, not a structural one.
+    they sum to 1 is a validation concern, not a structural one.  The
+    mapping given is copied and `shares` is a read-only view of the copy
+    (`types.MappingProxyType`): it reads, and compares equal to a dict,
+    as the copy does, is unhashable as a dict is, and refuses assignment
+    and deletion with TypeError.  So a coalition never changes once built.
     """
 
     members: tuple[int, ...]
     income: Fraction
-    shares: dict[int, Fraction]
+    shares: MappingProxyType[int, Fraction]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "shares", MappingProxyType(dict(self.shares)))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle: rebuild from a dict of the shares
+        return self.__class__, (self.members, self.income, dict(self.shares))
 
     @classmethod
     def of(cls, members, income, shares=None) -> CoalitionSpec:
@@ -95,10 +107,11 @@ class GameInstance:
     optionally a list of offer/acceptance profiles plus a reference
     payoff table (one row per profile) carried along for comparison.
 
-    The first payoff or stability check on an instance compiles its
-    coalitions into `payoff_index`, which every later one reuses.  So
-    the coalitions must not be mutated after that point
-    (`CoalitionSpec.shares` is a dict).
+    The coalitions are kept as a tuple, whatever sequence is given, and
+    a coalition never changes once built.  So the first payoff or
+    stability check on an instance compiles its coalitions into
+    `payoff_index`, which every later one reuses and which cannot go
+    stale.
     """
 
     n: int
@@ -106,6 +119,10 @@ class GameInstance:
     profiles: tuple[OfferProfile, ...] = ()
     payoff_matrix: tuple[tuple[Fraction, ...], ...] | None = None
     default_rule: ActivationRule | None = None
+
+    def __post_init__(self) -> None:
+        # the index is built from the coalitions: a list given here could change under it
+        object.__setattr__(self, "coalitions", tuple(self.coalitions))
 
     def rule_or(self, rule: ActivationRule | None) -> ActivationRule:
         """Resolve a possibly-absent rule choice against the instance default."""

@@ -344,9 +344,10 @@ def restricted_equilibria(
     network; the move counts when the target network is the source minus
     a nonempty arc set that is entirely incident to a single player.
     Only strictly improving moves are reported.  Both tests are on masks:
-    the target t is a proper part of the source s when `t & ~s == 0` and
-    t != s, and the removed arcs all touch p for each p of their
-    `formation.common_ends`, at most the two ends of the lowest one.
+    the target t is a proper part of the source s when it holds fewer
+    arcs and `t & s == t`, and the removed arcs all touch p for each p
+    of their `formation.common_ends`, at most the two ends of the lowest
+    one.  Each mask's arc count is taken once.
     Payoffs are compared as ints over the index's denominator L; a
     reported gain becomes a `Fraction` over L.  Raises ValueError, before
     forming any network, when there are more than MAX_PROFILE_PAIRS
@@ -362,11 +363,12 @@ def restricted_equilibria(
     networks = [form_network(p) for p in instance.profiles]
     payoffs = [_totals(instance, g, rule) for g in networks]
     masks = [g.mask for g in networks]
+    sizes = [g.bit_count() for g in masks]
     found: list[ReachableDeviation] = []
     for s, gs in enumerate(masks):
-        outside = ~gs
+        size = sizes[s]
         for t, gt in enumerate(masks):
-            if gt & outside or gt == gs:  # not a proper subnetwork
+            if sizes[t] >= size or gt & gs != gt:  # not a proper subnetwork
                 continue
             for player in common_ends(gs ^ gt, instance.n):
                 gain = payoffs[t][player] - payoffs[s][player]

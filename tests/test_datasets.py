@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
 import random
+from copy import deepcopy
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -11,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netform import ActivationRule, form_network, random_instance, worked_example
+from netform import (
+    ActivationRule,
+    form_network,
+    payoff_vector,
+    random_instance,
+    worked_example,
+)
 from netform.datasets import intersecting_example
 from netform.model import validate_instance
 from netform.stability import find_overlapping_pair
@@ -72,37 +80,58 @@ def test_intersecting_network_is_symmetric_sixteen_arcs():
 
 
 def _pins_the_builtin_contract(factory):
-    """Two calls give equal, distinct instances that share their
-    immutable tables, and a payoff index built on one stays its own."""
-    a, b = factory(), factory()
-    assert a == b and a is not b
-    assert a.profiles is b.profiles
-    assert "payoff_index" not in vars(a)
-    a.payoff_index
-    assert "payoff_index" in vars(a) and "payoff_index" not in vars(b)
+    """Every call in a process returns one instance, equal to a freshly
+    built one, whose payoff index is built once, and whose profile rows
+    are exactly `bytes`."""
+    a = factory()
+    assert factory() is a
+    fresh = factory.__wrapped__()
+    assert fresh == a and fresh is not a
+    assert a.payoff_index is factory().payoff_index
     assert all(
         type(row) is bytes for p in a.profiles for row in (*p.offers, *p.acceptances)
     )
-    return a, b
+    return a
 
 
-def test_worked_example_shares_its_tables_and_no_instance():
-    a, b = _pins_the_builtin_contract(worked_example)
-    assert a.payoff_matrix is b.payoff_matrix
+def test_worked_example_is_one_instance_per_process():
+    assert _pins_the_builtin_contract(worked_example) is worked_example()
 
 
-def test_intersecting_example_shares_its_profile_and_no_instance():
-    a, b = _pins_the_builtin_contract(intersecting_example)
-    # its coalitions, whose shares are dicts, are built per call
-    assert a.coalitions[0].shares is not b.coalitions[0].shares
+def test_intersecting_example_is_one_instance_per_process():
+    assert _pins_the_builtin_contract(intersecting_example) is intersecting_example()
 
 
 def test_mutating_one_worked_example_leaves_the_next_as_published():
-    changed = worked_example()
-    changed.coalitions[0].shares[0] = Fraction(9)
+    shares = worked_example().coalitions[0].shares
+    published = {0: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}
+    profile_5 = form_network(worked_example().profiles[4])
+    linked = (19, 21, 24, 12, 18)
+    # the payoff index is built before the attempts: a share they changed would leave it stale
+    assert payoff_vector(worked_example(), profile_5, ActivationRule.LINKED) == linked
+    with pytest.raises(TypeError):
+        shares[0] = shares[0] + 1
+    with pytest.raises(TypeError):
+        del shares[0]
+    with pytest.raises(TypeError):
+        shares |= {0: Fraction(9)}
+    assert not hasattr(shares, "update")
     fresh = worked_example()
-    assert fresh.coalitions[0].shares == {0: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}
+    assert fresh.coalitions[0].shares == published
+    assert payoff_vector(fresh, profile_5, ActivationRule.LINKED) == linked
     assert validate_instance(fresh).warnings == ("coalition 7 (1,4,2): shares sum to 5/4, not 1",)
+
+
+@pytest.mark.parametrize("factory", [worked_example, intersecting_example])
+def test_a_builtin_instance_survives_pickle_and_deepcopy(factory):
+    instance = factory()
+    instance.payoff_index
+    for copy in (pickle.loads(pickle.dumps(instance)), deepcopy(instance)):
+        assert copy == instance and copy is not instance
+        assert copy.payoff_index == instance.payoff_index
+        assert copy.coalitions[0].shares == instance.coalitions[0].shares
+        with pytest.raises(TypeError):
+            copy.coalitions[0].shares[0] = Fraction(0)
 
 
 def test_generator_is_deterministic():

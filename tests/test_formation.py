@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netform import Network, form_network, load_instance
+from netform import Network, form_network, formation, load_instance
 from netform.cli import main
 from netform.formation import OfferProfile, common_ends, remove_arcs
 from netform.model import validate_instance
@@ -224,6 +224,14 @@ def test_common_ends_are_the_players_every_arc_touches(case):
     n, arcs = case
     if arcs:
         assert common_ends(Network.of(n, arcs).mask, n) == [p for p in range(n) if all(p in a for a in arcs)]
+
+
+def test_common_ends_builds_its_column_mask_once_per_n():
+    formation.column.cache_clear()
+    mask = Network.of(7, [(0, 1), (0, 2)]).mask
+    assert common_ends(mask, 7) == common_ends(mask, 7) == [0]
+    info = formation.column.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_network_refuses_bad_masks():

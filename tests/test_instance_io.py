@@ -24,7 +24,7 @@ from netform import (
     save_instance,
     worked_example,
 )
-from netform import formation
+from netform import formation, instance_io
 from netform.datasets import intersecting_example
 from netform.formation import Network, OfferProfile
 from netform.instance_io import instance_to_document, load_instance_file, parse_fraction
@@ -327,6 +327,26 @@ def test_loaded_profile_rows_are_bytes_of_0_and_1():
             # every cell reads back as exactly the int 0 or 1, never a bool
             assert {type(v) for row in matrix for v in row} == {int}
             assert {v for row in matrix for v in row} == {0, 1}
+
+
+def test_a_loaded_profile_keeps_the_parsed_rows(monkeypatch):
+    # the parser's exact `bytes` rows are taken as they are, with no conversion
+    parsed = []
+    bit_cells = instance_io._bit_cells
+    monkeypatch.setattr(instance_io, "_bit_cells", lambda rows: parsed.append(bit_cells(rows)) or parsed[-1])
+    loaded = load_instance(save_instance(worked_example()))
+    kept = [m for p in loaded.profiles for m in (p.offers, p.acceptances)]
+    assert len(kept) == len(parsed) == 20
+    assert all(m is rows for m, rows in zip(kept, parsed))
+
+
+def test_rows_of_a_bytes_subclass_are_converted():
+    class Row(bytes):
+        pass
+
+    profile = OfferProfile.of([Row(b"\x00\x01"), b"\x00\x00"], (Row(b"\x00\x00"), Row(b"\x01\x00")))
+    assert all(type(row) is bytes for row in (*profile.offers, *profile.acceptances))
+    assert profile == OfferProfile.of([[0, 1], [0, 0]], [[0, 0], [1, 0]])
 
 
 def test_each_loaded_profile_matrix_is_checked_once(monkeypatch):

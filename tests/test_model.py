@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from netform import ActivationRule, CoalitionSpec, GameInstance, model
+from netform import ActivationRule, CoalitionSpec, GameInstance, Network, model, payoff_vector
 from netform.formation import OfferProfile
 from netform.model import MAX_INDEX_BITS, MAX_PLAYERS, validate_instance
 
@@ -25,6 +25,24 @@ def test_default_shares_are_uniform():
     triple = CoalitionSpec.of((0, 1, 2), 9)
     assert triple.share_of(1) == Fraction(1, 3)
     assert triple.share_of(4) == 0
+
+
+def test_shares_are_a_private_copy_of_the_mapping_given():
+    given = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    pair = CoalitionSpec((0, 1), Fraction(3), given)
+    given[0] = Fraction(9)
+    assert pair.shares == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    assert CoalitionSpec.of((0, 1), 3, given).shares == given
+
+
+def test_a_list_of_coalitions_changed_later_leaves_the_instance_alone():
+    given = [CoalitionSpec.of((0, 1), 2)]
+    inst = GameInstance(3, given)
+    network = Network.of(3, [(0, 1), (1, 2)])
+    assert payoff_vector(inst, network, ActivationRule.LINKED) == (1, 1, 0)
+    given.append(CoalitionSpec.of((1, 2), 4))
+    assert inst.coalitions == (CoalitionSpec.of((0, 1), 2),)
+    assert payoff_vector(inst, network, ActivationRule.LINKED) == (1, 1, 0)
 
 
 def test_pairs_and_label():

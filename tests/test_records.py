@@ -25,7 +25,7 @@ HALF = Fraction(1, 2)
 PAIR = CoalitionSpec((0, 1), Fraction(3), {0: HALF, 1: HALF})
 PAIR_TEXT = (
     "CoalitionSpec(members=(0, 1), income=Fraction(3, 1), "
-    "shares={0: Fraction(1, 2), 1: Fraction(1, 2)})"
+    "shares=mappingproxy({0: Fraction(1, 2), 1: Fraction(1, 2)}))"
 )
 ROWS = (b"\x00\x01", b"\x01\x00")
 CUT = Deviation(0, ((0, 1),), Network(2, 0), HALF)
@@ -36,7 +36,7 @@ CUT_TEXT = (
 MOVE = ReachableDeviation(0, 1, 1, Fraction(2))
 MOVE_TEXT = "ReachableDeviation(source=0, target=1, player=1, gain=Fraction(2, 1))"
 WITNESS = "stable report cannot carry a witness"
-# a dict field (`CoalitionSpec.shares`) makes a record unhashable
+# a read-only view of a dict (`CoalitionSpec.shares`) is unhashable, as the dict is
 UNHASHABLE = {CoalitionSpec, GameInstance}
 CACHED = {GameInstance: ["payoff_index"], Network: ["arcs"], PayoffMatrix: ["_scaled"]}
 
