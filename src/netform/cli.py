@@ -18,13 +18,7 @@ import sys
 from .compromise import PayoffMatrix, compromise_solution
 from .datasets import BUILTIN, random_instance
 from .formation import form_network
-from .instance_io import (
-    DocumentError,
-    load_instance_file,
-    load_network_file,
-    save_instance,
-    validated_warnings,
-)
+from .instance_io import load_instance_file, load_network_file, save_instance, validated_warnings
 from .model import ActivationRule, GameInstance
 from .payoffs import payoff_vector
 
@@ -32,27 +26,11 @@ from .payoffs import payoff_vector
 # `csv` by the formats that print them: the other commands never load them
 
 
-@functools.cache
-def _builtin_outcome(name: str, strict: bool) -> tuple[tuple[str, ...], str | None]:
-    """A builtin instance's validation warnings, or the message of the
-    refusal that validating it raised, found on the first call per
-    (name, strict) in a process: a builtin is one immutable instance, so
-    the outcome never changes."""
-    try:
-        return validated_warnings(BUILTIN[name](), strict), None
-    except DocumentError as exc:
-        return (), str(exc)
-
-
 def _load(name: str, strict: bool) -> GameInstance:
-    if name in BUILTIN:
-        instance = BUILTIN[name]()
-        warnings, refusal = _builtin_outcome(name, strict)
-        if refusal is not None:
-            raise DocumentError(refusal)
-    else:
-        instance, warnings = load_instance_file(name, strict=strict)
-    for warning in warnings:
+    """The instance a builtin name or a file names, validated: its
+    warnings are printed, and its errors raise DocumentError."""
+    instance = BUILTIN[name]() if name in BUILTIN else load_instance_file(name, strict)
+    for warning in validated_warnings(instance, strict):
         print(f"warning: {warning}", file=sys.stderr)
     return instance
 

@@ -116,15 +116,11 @@ def _regrets(matrix: PayoffMatrix, ideal) -> tuple[int, list[list[int]]]:
     return denominator, [[t - v for t, v in zip(top, row)] for row in rows]
 
 
-def regret_vectors(
-    matrix: PayoffMatrix, ascending: bool = False
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Per-row regrets against the ideal vector, in player order, or with
-    each row sorted ascending when requested (a presentation choice that
-    never feeds back into the selection)."""
+def regret_vectors(matrix: PayoffMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """Per-row regrets against the ideal vector, in player order."""
     denominator, regrets = _regrets(matrix, ideal_vector(matrix))
     exact = _fractions(denominator, chain.from_iterable(regrets)).__getitem__
-    return tuple(tuple(map(exact, sorted(r) if ascending else r)) for r in regrets)
+    return tuple(tuple(map(exact, r)) for r in regrets)
 
 
 def compromise_solution(

@@ -147,8 +147,11 @@ def instance_from_document(doc) -> GameInstance:
         if "shares" in raw:
             shares = {}
             for key, v in _expect(raw, "shares", dict, where).items():
-                try:
-                    player = int(key)
+                digits = key.strip()  # the whitespace int strips
+                try:  # ASCII digits only: int would also take "1_0", "+2" and "٢"
+                    if not (digits.isascii() and digits.isdigit()):
+                        raise ValueError
+                    player = int(digits)
                 except ValueError:
                     raise DocumentError(f"{where}.shares: bad player key {_quoted(key)}") from None
                 if player - 1 in shares:
@@ -285,17 +288,11 @@ def _parse_json(text: str, prefix: str = ""):
         raise DocumentError(f"{prefix}not valid JSON: {exc}") from None
 
 
-def _load_checked(text: str, strict: bool) -> tuple[GameInstance, tuple[str, ...]]:
-    """The instance a JSON document describes and its validation
-    warnings; structural problems, a repeated object key and validation
-    errors raise DocumentError."""
-    instance = instance_from_document(_parse_json(text))
-    return instance, validated_warnings(instance, strict)
-
-
 def validated_warnings(instance: GameInstance, strict: bool) -> tuple[str, ...]:
-    """Validate an instance once: its warnings, or DocumentError naming
-    every error.  Files and builtin instances both pass through here."""
+    """An instance's validation warnings, or DocumentError naming every
+    error.  Its faults are found once per instance, so calling this
+    again, as the CLI does on an instance a loader checked, costs only
+    the split into errors and warnings."""
     report = validate_instance(instance, strict=strict)
     if report.errors:
         raise DocumentError("; ".join(report.errors))
@@ -305,12 +302,13 @@ def validated_warnings(instance: GameInstance, strict: bool) -> tuple[str, ...]:
 def load_instance(text: str, strict: bool = False) -> GameInstance:
     """Parse a JSON document and validate the instance it describes.
 
-    Structural problems and validation errors raise DocumentError; in
-    lenient mode a share sum different from 1 is only a warning, which
-    `load_instance_file` returns with the instance and which callers of
-    this function can re-derive with validate_instance.
+    Structural problems, a repeated object key and validation errors
+    raise DocumentError; in lenient mode a share sum different from 1 is
+    only a warning, which `validated_warnings` returns.
     """
-    return _load_checked(text, strict)[0]
+    instance = instance_from_document(_parse_json(text))
+    validated_warnings(instance, strict)
+    return instance
 
 
 def save_instance(instance: GameInstance) -> str:
@@ -320,13 +318,11 @@ def save_instance(instance: GameInstance) -> str:
     return json.dumps(instance_to_document(instance), indent=2) + "\n"
 
 
-def load_instance_file(path, strict: bool = False) -> tuple[GameInstance, tuple[str, ...]]:
-    """Load and validate the instance in a file, once: returns it with
-    its validation warnings (lenient mode's share-sum messages; strict
-    mode turns those into errors, so it has none)."""
+def load_instance_file(path, strict: bool = False) -> GameInstance:
+    """`load_instance` on the text of a file."""
     with open(path, encoding="utf-8") as file:
         text = file.read()
-    return _load_checked(text, strict)
+    return load_instance(text, strict)
 
 
 def load_network_file(path) -> Network:

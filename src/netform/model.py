@@ -41,9 +41,6 @@ class ActivationRule(Enum):
     MUTUAL = "mutual"
     LINKED = "linked"
 
-    def __str__(self) -> str:  # argparse help and report output
-        return self.value
-
 
 @record
 class CoalitionSpec:
@@ -110,8 +107,9 @@ class GameInstance:
     The coalitions are kept as a tuple, whatever sequence is given, and
     a coalition never changes once built.  So the first payoff or
     stability check on an instance compiles its coalitions into
-    `payoff_index`, which every later one reuses and which cannot go
-    stale.
+    `payoff_index`, and the first `validate_instance` call, in either
+    mode, stores its faults in `findings`.  Later calls reuse both, and
+    neither can go stale.
     """
 
     n: int
@@ -174,6 +172,69 @@ class GameInstance:
             for pairs, stakes in paid
         )
 
+    @cached_property
+    def findings(self) -> tuple[tuple[str, str], ...]:
+        """Every fault `validate_instance` reports, found on first use:
+        `(kind, message)` pairs in the order found, kind "error",
+        "warning", or "share sum" for shares that do not sum to 1 (an
+        error only in strict mode).  The instance never changes, so
+        neither do they."""
+        n = self.n
+        found: list[tuple[str, str]] = []
+        if n < 2:
+            found.append(("error", f"need at least 2 players, got {n}"))
+        if n > MAX_PLAYERS:
+            found.append(("error", f"at most {MAX_PLAYERS} players are accepted, got {n}"))
+
+        seen: dict[frozenset[int], int] = {}
+        for idx, c in enumerate(self.coalitions):
+            if len(c.members) not in (2, 3):
+                found.append(("error", _at(idx, c, f"size must be 2 or 3, got {len(c.members)}")))
+            key = c.member_set()
+            repeated = len(key) != len(c.members)
+            if repeated:
+                found.append(("error", _at(idx, c, "repeated member")))
+            for m in c.members:
+                if not 0 <= m < n:
+                    found.append(("error", _at(idx, c, f"player {m + 1} out of range")))
+            if not repeated and seen.setdefault(key, idx) != idx:
+                message = f"same member set as coalition {seen[key] + 1}"
+                found.append(("error", _at(idx, c, message)))
+            if set(c.shares) != set(c.members):
+                found.append(("error", _at(idx, c, "share keys must match members exactly")))
+            for m, s in c.shares.items():
+                if s.numerator < 0:
+                    found.append(("error", _at(idx, c, f"negative share for player {m + 1}")))
+            # the shares sum to 1 when their numerators over a common
+            # denominator add up to it
+            shares = c.shares.values()
+            common = lcm(*(s.denominator for s in shares))
+            if sum(s.numerator * (common // s.denominator) for s in shares) != common:
+                total = sum(shares, Fraction(0))
+                found.append(("share sum", _at(idx, c, f"shares sum to {total}, not 1")))
+
+        for idx, p in enumerate(self.profiles):
+            if p.n != n:
+                message = f"profile {idx + 1}: {p.n}x{p.n} matrices for a {n}-player instance"
+                found.append(("error", message))
+            offered = b"".join(p.offers)[:: p.n + 1]
+            if 1 in offered:
+                accepted = b"".join(p.acceptances)[:: p.n + 1]
+                players = ", ".join(str(i + 1) for i in range(p.n) if offered[i] & accepted[i])
+                if players:
+                    message = f"profile {idx + 1}: self-consent of player(s) {players} forms no arc"
+                    found.append(("warning", message))
+        if self.payoff_matrix is not None:
+            rows = len(self.payoff_matrix)
+            if self.profiles and rows != len(self.profiles):
+                message = f"payoff table has {rows} rows for {len(self.profiles)} profiles"
+                found.append(("error", message))
+            for r, row in enumerate(self.payoff_matrix):
+                if len(row) != n:
+                    message = f"payoff table row {r + 1}: {len(row)} entries for {n} players"
+                    found.append(("error", message))
+        return tuple(found)
+
 
 @record
 class ValidationReport:
@@ -192,7 +253,8 @@ def _at(idx: int, c: CoalitionSpec, message: str) -> str:
 
 
 def validate_instance(instance: GameInstance, strict: bool = False) -> ValidationReport:
-    """Check structural soundness of an instance.
+    """Check structural soundness of an instance: its `findings`, split
+    into errors and warnings, each in the order found.
 
     Errors: player count < 2 or > MAX_PLAYERS, coalition size outside
     {2, 3}, repeated or out-of-range members, duplicate coalition member
@@ -201,66 +263,12 @@ def validate_instance(instance: GameInstance, strict: bool = False) -> Validatio
     whose row count differs from the number of stored profiles.  A share sum different from 1 is an
     error in strict mode and a warning otherwise.  A profile in which a
     player both offers and accepts a link to itself is a warning in
-    either mode: `form_network` forms no arc from it.
+    either mode: `form_network` forms no arc from it.  The findings are
+    found on the first call for an instance, in either mode; every later
+    call only splits them again.
     """
-    errors: list[str] = []
-    warnings_: list[str] = []
-    if instance.n < 2:
-        errors.append(f"need at least 2 players, got {instance.n}")
-    if instance.n > MAX_PLAYERS:
-        errors.append(f"at most {MAX_PLAYERS} players are accepted, got {instance.n}")
-
-    seen: dict[frozenset[int], int] = {}
-    for idx, c in enumerate(instance.coalitions):
-        if len(c.members) not in (2, 3):
-            errors.append(_at(idx, c, f"size must be 2 or 3, got {len(c.members)}"))
-        key = c.member_set()
-        repeated = len(key) != len(c.members)
-        if repeated:
-            errors.append(_at(idx, c, "repeated member"))
-        for m in c.members:
-            if not 0 <= m < instance.n:
-                errors.append(_at(idx, c, f"player {m + 1} out of range"))
-        if not repeated and seen.setdefault(key, idx) != idx:
-            errors.append(_at(idx, c, f"same member set as coalition {seen[key] + 1}"))
-        if set(c.shares) != set(c.members):
-            errors.append(_at(idx, c, "share keys must match members exactly"))
-        for m, s in c.shares.items():
-            if s.numerator < 0:
-                errors.append(_at(idx, c, f"negative share for player {m + 1}"))
-        # the shares sum to 1 when their numerators over a common
-        # denominator add up to it
-        shares = c.shares.values()
-        common = lcm(*(s.denominator for s in shares))
-        if sum(s.numerator * (common // s.denominator) for s in shares) != common:
-            total = sum(shares, Fraction(0))
-            msg = _at(idx, c, f"shares sum to {total}, not 1")
-            (errors if strict else warnings_).append(msg)
-
-    for idx, p in enumerate(instance.profiles):
-        if p.n != instance.n:
-            errors.append(
-                f"profile {idx + 1}: {p.n}x{p.n} matrices for a "
-                f"{instance.n}-player instance"
-            )
-        offered = b"".join(p.offers)[:: p.n + 1]
-        if 1 in offered:
-            accepted = b"".join(p.acceptances)[:: p.n + 1]
-            players = ", ".join(str(i + 1) for i in range(p.n) if offered[i] & accepted[i])
-            if players:
-                warnings_.append(
-                    f"profile {idx + 1}: self-consent of player(s) {players} forms no arc"
-                )
-    if instance.payoff_matrix is not None:
-        rows = len(instance.payoff_matrix)
-        if instance.profiles and rows != len(instance.profiles):
-            errors.append(
-                f"payoff table has {rows} rows for {len(instance.profiles)} profiles"
-            )
-        for r, row in enumerate(instance.payoff_matrix):
-            if len(row) != instance.n:
-                errors.append(
-                    f"payoff table row {r + 1}: {len(row)} entries for "
-                    f"{instance.n} players"
-                )
-    return ValidationReport(tuple(errors), tuple(warnings_))
+    errors = ("error", "share sum") if strict else ("error",)
+    return ValidationReport(
+        tuple(message for kind, message in instance.findings if kind in errors),
+        tuple(message for kind, message in instance.findings if kind not in errors),
+    )

@@ -232,7 +232,7 @@ def test_compromise_reproduction(capsys):
         matrix = PayoffMatrix.of(inst.payoff_matrix)
         assert ideal_vector(matrix) == (23, 21, 26, 15, 22)
 
-        sorted_rows = regret_vectors(matrix, ascending=True)
+        sorted_rows = [tuple(sorted(r)) for r in regret_vectors(matrix)]
         exact = 0
         for s in range(1, 11):
             if s == 8:

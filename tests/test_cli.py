@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import functools
 import gc
 import importlib
 import io
@@ -574,44 +573,65 @@ validation_outcomes = pytest.mark.parametrize(
 )
 
 
-def _counted_validations(monkeypatch) -> list:
-    """The strict flag of every validation run from here on; files and
-    builtin names share one validation step."""
-    from netform import instance_io
+def _counted_findings(monkeypatch) -> list:
+    """Every instance whose faults are found from here on, once per
+    computation of its cached `findings`."""
+    prop = vars(GameInstance)["findings"]
+    find = prop.func
+    computed = []
 
-    calls = []
+    def counting(instance):
+        computed.append(instance)
+        return find(instance)
 
-    def counting(instance, strict=False):
-        calls.append(strict)
-        return model.validate_instance(instance, strict=strict)
-
-    monkeypatch.setattr(instance_io, "validate_instance", counting)
-    return calls
-
-
-def _validations(capsys, monkeypatch, instance, flags):
-    """The command's (exit code, stderr) and the strict flag of every
-    validation it ran."""
-    calls = _counted_validations(monkeypatch)
-    return run(capsys, "payoffs", instance, *flags)[::2], calls
+    monkeypatch.setattr(prop, "func", counting)
+    return computed
 
 
 @validation_outcomes
 def test_a_loaded_file_is_validated_once(capsys, monkeypatch, tmp_path, flags, code, err):
+    # the loader refuses an invalid instance and the command prints the
+    # warnings: both read the one set of findings
     path = tmp_path / "inst.json"
     path.write_text(save_instance(worked_example()))
-    assert _validations(capsys, monkeypatch, str(path), flags) == ((code, err), [bool(flags)])
+    computed = _counted_findings(monkeypatch)
+    assert run(capsys, "payoffs", str(path), *flags)[::2] == (code, err)
+    assert len(computed) == 1
 
 
 @validation_outcomes
 def test_a_builtin_instance_is_validated_once(capsys, monkeypatch, flags, code, err):
-    # once per process: a later command prints the same and validates nothing
-    monkeypatch.setattr(cli, "_builtin_outcome", functools.cache(cli._builtin_outcome.__wrapped__))
-    calls = _counted_validations(monkeypatch)
+    # once per process: a later command prints the same and finds nothing again
+    fresh = worked_example.__wrapped__()
+    monkeypatch.setitem(cli.BUILTIN, "worked-example", lambda: fresh)
+    computed = _counted_findings(monkeypatch)
     first, second = (run(capsys, "payoffs", "worked-example", *flags) for _ in range(2))
     assert first == second
     assert first[::2] == (code, err) and bool(first[1]) == (code == 0)
-    assert calls == [bool(flags)]
+    assert len(computed) == 1 and computed[0] is fresh
+
+
+def test_an_instance_finds_its_faults_once(capsys, monkeypatch, tmp_path):
+    from netform.instance_io import load_instance, load_instance_file, validated_warnings
+
+    computed = _counted_findings(monkeypatch)
+    fresh = worked_example.__wrapped__()
+    message = "coalition 7 (1,4,2): shares sum to 5/4, not 1"
+    # lenient and strict calls split the same findings
+    for _ in range(2):
+        assert model.validate_instance(fresh) == model.ValidationReport((), (message,))
+        assert model.validate_instance(fresh, strict=True) == model.ValidationReport((message,), ())
+    # each loader's instance once, though the loader and its caller both validate it
+    text = save_instance(fresh)
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    loaded = [load_instance(text), load_instance_file(path)]
+    assert [validated_warnings(inst, False) for inst in loaded] == [(message,)] * 2
+    # two in-process runs on a builtin, one per mode
+    monkeypatch.setitem(cli.BUILTIN, "worked-example", lambda: fresh)
+    assert run(capsys, "payoffs", "worked-example")[::2] == (0, f"warning: {message}\n")
+    assert run(capsys, "payoffs", "worked-example", "--strict")[::2] == (2, f"error: {message}\n")
+    assert list(map(id, computed)) == list(map(id, [fresh, *loaded]))
 
 
 @pytest.mark.parametrize("players", [MAX_PLAYERS + 1, 10**12])
@@ -656,6 +676,20 @@ def test_a_repeated_share_key_is_refused(capsys, tmp_path, repeated):
     code, out, err = run(capsys, "payoffs", str(path), "--strict")
     assert (code, out) == (2, "")
     assert err == f"error: coalitions[0].shares: repeated player key {repeated!r}\n"
+
+
+@pytest.mark.parametrize("key", ["1_0", "+2", "٢"])
+def test_a_share_key_that_is_not_ascii_digits_is_refused(capsys, tmp_path, key):
+    # int() reads "1_0" as 10, "+2" as 2 and the Arabic-Indic digit two as 2
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "schema": "game-instance/1",
+        "players": 10,
+        "coalitions": [{"members": [1, 10], "income": "1", "shares": {"1": "1/2", key: "1/2"}}],
+    }))
+    code, out, err = run(capsys, "payoffs", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: coalitions[0].shares: bad player key {key!r}\n"
 
 
 # ---- one parser per process
@@ -862,8 +896,8 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, code, usa
         else:
             assert run(capsys, *argv)[0] == code
         assert gc.isenabled() is collecting
-        # loaded at least once, and its validation, cached per process, may load it again
-        assert set(seen) == (set() if usage else {False})
+        # loaded once, with the collector paused
+        assert seen == ([] if usage else [False])
     finally:
         (gc.enable if was else gc.disable)()
 

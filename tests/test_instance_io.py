@@ -27,7 +27,12 @@ from netform import (
 from netform import formation, instance_io
 from netform.datasets import intersecting_example
 from netform.formation import Network, OfferProfile
-from netform.instance_io import instance_to_document, load_instance_file, parse_fraction
+from netform.instance_io import (
+    instance_to_document,
+    load_instance_file,
+    parse_fraction,
+    validated_warnings,
+)
 
 from oracles import oracle_load
 
@@ -69,9 +74,9 @@ def test_golden_documents_match_builtins():
 def test_file_round_trip(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(save_instance(worked_example()), encoding="utf-8")
-    instance, warnings = load_instance_file(path)
+    instance = load_instance_file(path)
     assert instance == worked_example()
-    assert warnings == ("coalition 7 (1,4,2): shares sum to 5/4, not 1",)
+    assert validated_warnings(instance, False) == ("coalition 7 (1,4,2): shares sum to 5/4, not 1",)
 
 
 def test_document_shape():

@@ -157,6 +157,29 @@ def test_share_sum_strictness():
     assert any("shares sum to 3/4" in e for e in strict.errors)
 
 
+def test_interleaved_findings_keep_their_order_in_both_modes():
+    # a share-sum fault on coalition 1, a size fault on coalition 2, another
+    # share-sum fault on coalition 3, a self-consent profile, a short payoff row
+    half = Fraction(1, 2)
+    coalitions = [
+        CoalitionSpec.of((0, 1), 4, shares={0: half, 1: Fraction(1, 4)}),
+        CoalitionSpec.of((0, 1, 2, 3), 1),
+        CoalitionSpec.of((2, 3), 1, shares={2: Fraction(1), 3: Fraction(1)}),
+    ]
+    loop = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    inst = _inst(
+        coalitions, n=4, profiles=(OfferProfile.of(loop, loop),), payoff_matrix=((half,) * 3,)
+    )
+    sum1 = "coalition 1 (1,2): shares sum to 3/4, not 1"
+    size2 = "coalition 2 (1,2,3,4): size must be 2 or 3, got 4"
+    sum3 = "coalition 3 (3,4): shares sum to 2, not 1"
+    loop1 = "profile 1: self-consent of player(s) 1 forms no arc"
+    short = "payoff table row 1: 3 entries for 4 players"
+    assert validate_instance(inst) == model.ValidationReport((size2, short), (sum1, sum3, loop1))
+    strict = validate_instance(inst, strict=True)
+    assert strict == model.ValidationReport((sum1, size2, sum3, short), (loop1,))
+
+
 fractions = st.builds(
     Fraction, st.integers(-40, 40), st.sampled_from((1, 2, 3, 4, 6, 7, 9, 12, 35, 64))
 )
