@@ -291,8 +291,9 @@ def cmd_compromise(args) -> int:
             raise ValueError("instance carries no reference payoff table")
         rows = instance.payoff_matrix
     else:
-        rows = tuple(_map_profiles(payoff_vector, instance, rule, 1))
-    matrix = PayoffMatrix.of(rows)
+        profiles = instance.profiles
+        rows = [payoff_vector(instance, form_network(profiles[k]), rule) for k in _stored(instance)]
+    matrix = PayoffMatrix(rows)
     report = compromise_solution(matrix, refine_ties=args.refine_ties)
     shown = (
         [sorted(row) for row in report.regrets] if args.sorted else report.regrets

@@ -47,11 +47,15 @@ def common_denominator(denominators, what: str) -> int:
 
 @record
 class PayoffMatrix:
-    """A payoff table: rows are outcomes, columns are players.  Never empty."""
+    """A payoff table: rows are outcomes, columns are players.  Never empty.
+    The constructor keeps the rows as tuples of Fractions."""
 
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(
+            tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in self.rows
+        ))
         if not self.rows:
             raise ValueError("payoff matrix needs at least one row")
         width = len(self.rows[0])
@@ -59,12 +63,6 @@ class PayoffMatrix:
             raise ValueError("payoff matrix needs at least one column")
         if any(len(r) != width for r in self.rows):
             raise ValueError("payoff matrix rows must have equal length")
-
-    @classmethod
-    def of(cls, rows) -> PayoffMatrix:
-        return cls(tuple(
-            tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows
-        ))
 
     @property
     def n_players(self) -> int:
@@ -102,23 +100,23 @@ def _fractions(denominator: int, values) -> dict[int, Fraction]:
     return {t: Fraction(t, denominator) for t in set(values)}
 
 
+def _regrets(matrix: PayoffMatrix) -> tuple[int, list[int], list[list[int]]]:
+    """L, the ideal (each column's maximum) and each row's regrets
+    against it, all as ints over L."""
+    denominator, rows = matrix._scaled
+    top = list(map(max, zip(*rows)))
+    return denominator, top, [[t - v for t, v in zip(top, row)] for row in rows]
+
+
 def ideal_vector(matrix: PayoffMatrix) -> tuple[Fraction, ...]:
     """Columnwise maximum: the best any row offers each player."""
-    denominator, rows = matrix._scaled
-    return tuple(Fraction(max(column), denominator) for column in zip(*rows))
-
-
-def _regrets(matrix: PayoffMatrix, ideal) -> tuple[int, list[list[int]]]:
-    """L and each row's regrets against the ideal as ints over L (the
-    ideal's entries are table entries, so L is their denominator too)."""
-    denominator, rows = matrix._scaled
-    top = [i.numerator * (denominator // i.denominator) for i in ideal]
-    return denominator, [[t - v for t, v in zip(top, row)] for row in rows]
+    denominator, top, _ = _regrets(matrix)
+    return tuple(Fraction(t, denominator) for t in top)
 
 
 def regret_vectors(matrix: PayoffMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """Per-row regrets against the ideal vector, in player order."""
-    denominator, regrets = _regrets(matrix, ideal_vector(matrix))
+    denominator, _, regrets = _regrets(matrix)
     exact = _fractions(denominator, chain.from_iterable(regrets)).__getitem__
     return tuple(tuple(map(exact, r)) for r in regrets)
 
@@ -132,8 +130,7 @@ def compromise_solution(
     sorted descending, keeping only the lexicographically smallest; the
     headline value is unchanged by refinement.
     """
-    ideal = ideal_vector(matrix)
-    denominator, regrets = _regrets(matrix, ideal)
+    denominator, top, regrets = _regrets(matrix)
     row_max = [max(r) for r in regrets]
     value = min(row_max)
     solutions = tuple(i for i, m in enumerate(row_max) if m == value)
@@ -143,7 +140,7 @@ def compromise_solution(
         solutions = tuple(i for i in solutions if keyed[i] == best)
     exact = _fractions(denominator, chain.from_iterable(regrets)).__getitem__
     return CompromiseReport(
-        ideal=ideal,
+        ideal=tuple(Fraction(t, denominator) for t in top),
         regrets=tuple(tuple(map(exact, r)) for r in regrets),
         row_max=tuple(map(exact, row_max)),
         value=exact(value),

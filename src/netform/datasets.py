@@ -20,7 +20,7 @@ def _c(members, income, shares=None) -> CoalitionSpec:
     # tables are written 1-based; shift once here
     if shares is not None:
         shares = {m - 1: s for m, s in shares.items()}
-    return CoalitionSpec.of(tuple(m - 1 for m in members), income, shares)
+    return CoalitionSpec(tuple(m - 1 for m in members), income, shares)
 
 
 _F = Fraction
@@ -116,7 +116,7 @@ def worked_example() -> GameInstance:
     return GameInstance(
         n=5,
         coalitions=_COALITIONS,
-        profiles=tuple(OfferProfile.of(o, a) for o, a in _PROFILES),
+        profiles=tuple(OfferProfile(o, a) for o, a in _PROFILES),
         payoff_matrix=tuple(tuple(Fraction(v) for v in row) for row in _REFERENCE_PAYOFFS),
         default_rule=ActivationRule.LINKED,
     )
@@ -153,7 +153,7 @@ def intersecting_example() -> GameInstance:
             _c((1, 4, 5), 2),
             _c((3, 4, 5), 2),
         ),
-        profiles=(OfferProfile.of(adjacency, adjacency),),
+        profiles=(OfferProfile(adjacency, adjacency),),
         default_rule=ActivationRule.MUTUAL,
     )
 
@@ -250,7 +250,7 @@ def random_instance(
         # same candidates as sampling their list
         chosen = [_candidate(k, n) for k in rng.sample(range(total), coalition_count)]
     coalitions = tuple(
-        CoalitionSpec.of(members, Fraction(rng.randint(lo, hi)))
+        CoalitionSpec(members, Fraction(rng.randint(lo, hi)))
         for members in chosen
     )
     return GameInstance(n=n, coalitions=coalitions)

@@ -83,18 +83,6 @@ def _bad_cell(rows, name: str) -> ValueError:
                 return ValueError(f"{name}[{r}][{c}]: entries must be 0 or 1")
 
 
-def _checked(m: Matrix, name: str, n: int) -> bytes:
-    """The cells of `bytes` rows m, joined, once m is found to be a square
-    n×n matrix of 0/1 cells: the one check of every matrix that enters
-    the engine.  Raises ValueError, starting with `name`."""
-    if len(m) != n or not set(map(len, m)) <= {n}:
-        raise ValueError(f"{name} must be a square {n}x{n} matrix")
-    cells = b"".join(m)
-    if cells.translate(None, b"\x00\x01"):
-        raise _bad_cell(m, name)
-    return cells
-
-
 def _int_cells(rows) -> bool:
     """Whether every cell of rows is an int, and so none is a bool: the
     one pass over the cells that `bit_rows` makes, for rows not all `bytes`."""
@@ -102,24 +90,29 @@ def _int_cells(rows) -> bool:
 
 
 def bit_rows(rows, name: str) -> Matrix:
-    """The `bytes` rows, for `_checked` to check, of a list or tuple of
-    rows (lists, tuples or `bytes`, as `instance_io` reads a document's
-    matrices or `Network.matrix()` returns); rows it cannot convert raise
-    ValueError.  Rows that are all exactly `bytes` are returned as they
-    are, with no conversion: a `bytes` cell is an int below 256, never a
-    bool.  Rows of a `bytes` subclass are converted to `bytes`."""
-    if isinstance(rows, (list, tuple)) and set(map(type, rows)) <= {bytes}:
-        return tuple(rows)
-    if not isinstance(rows, (list, tuple)) or not all(map(isinstance, rows, repeat(_ROW))):
+    """The `bytes` rows of a square 0/1 matrix given as a list or tuple of
+    rows (lists, tuples or `bytes`): the one reader and check of every
+    matrix that enters the engine.  Rows all exactly `bytes` are kept as
+    they are, with no pass over the row types: a `bytes` cell is never a
+    bool.  Raises ValueError, starting with `name`, for no list of rows,
+    then for a matrix that is not square, then for its first cell, in
+    row-major order, that is not the int 0 or 1."""
+    listed = isinstance(rows, (list, tuple))
+    exact = listed and set(map(type, rows)) <= {bytes}
+    if not (exact or listed and all(map(isinstance, rows, repeat(_ROW)))):
         raise ValueError(f"{name} must be a list of rows")
-    try:  # bytes() takes any int below 256, and a bool, whose type is not int
-        m = tuple(map(bytes, rows))
-        if all(map(isinstance, rows, repeat(bytes))) or _int_cells(rows):
-            return m
-    except (TypeError, ValueError):
+    n = len(rows)
+    if not set(map(len, rows)) <= {n}:
+        raise ValueError(f"{name} must be a square {n}x{n} matrix")
+    m = None
+    try:  # bytes() refuses an int outside 0..255
+        if exact or _int_cells(rows):
+            m = tuple(rows) if exact else tuple(map(bytes, rows))
+    except ValueError:
         pass
-    _checked(tuple(map(bytes, map(len, rows))), name, len(rows))  # the shape, zero-filled
-    raise _bad_cell(rows, name)
+    if m is None or b"".join(m).translate(None, b"\x00\x01"):
+        raise _bad_cell(rows, name)
+    return m
 
 
 @record
@@ -128,31 +121,23 @@ class OfferProfile:
 
     offers[i][j] == 1 means player i offers a link to player j;
     acceptances[i][j] == 1 means player i accepts a link offered by j.
-    Each matrix is a tuple of `bytes` rows.  Diagonal entries are
-    tolerated on input but can never yield an arc.
+    The constructor reads each matrix with `bit_rows`, so it takes lists
+    or tuples of rows and keeps each as a tuple of `bytes` rows; then it
+    refuses acceptances of another size than the offers.  Diagonal entries
+    are tolerated on input but can never yield an arc.
     """
 
     offers: Matrix
     acceptances: Matrix
 
     def __post_init__(self) -> None:
-        n = len(self.offers)
-        _checked(self.offers, "offers", n)
-        _checked(self.acceptances, "acceptances", n)
-
-    @classmethod
-    def of(cls, offers, acceptances) -> OfferProfile:
-        """The profile of two lists of rows, converted by `bit_rows`.  A refusal
-        names the offers' fault, the acceptances' own, then their size."""
-        offers = bit_rows(offers, "offers")
-        try:
-            acceptances = bit_rows(acceptances, "acceptances")
-            if len(acceptances) != len(offers):
-                _checked(acceptances, "acceptances", len(acceptances))
-        except ValueError:
-            _checked(offers, "offers", len(offers))
-            raise
-        return cls(offers, acceptances)
+        offers = bit_rows(self.offers, "offers")
+        acceptances = bit_rows(self.acceptances, "acceptances")
+        n = len(offers)
+        if len(acceptances) != n:
+            raise ValueError(f"acceptances must be a square {n}x{n} matrix")
+        object.__setattr__(self, "offers", offers)
+        object.__setattr__(self, "acceptances", acceptances)
 
     @property
     def n(self) -> int:
@@ -200,11 +185,10 @@ class Network:
     @classmethod
     def from_matrix(cls, rows) -> Network:
         """Network of a square 0/1 adjacency matrix given as a list of
-        rows, converted by `bit_rows`; the diagonal is ignored."""
+        rows, read by `bit_rows`; the diagonal is ignored."""
         m = bit_rows(rows, "adjacency")
         n = len(m)
-        cells = _checked(m, "adjacency", n)
-        return cls(n, _mask_of(cells.translate(_CELL_DIGITS)) & ~diagonal(n))
+        return cls(n, _mask_of(b"".join(m).translate(_CELL_DIGITS)) & ~diagonal(n))
 
     def matrix(self) -> Matrix:
         """The adjacency matrix, as `bytes` rows of 0/1 cells."""

@@ -46,7 +46,8 @@ def parse_fraction(value, where: str) -> Fraction:
 
     JSON floats are refused so precision loss cannot sneak in upstream,
     and so is exponent notation: Fraction would expand "1e1000000000"
-    digit by digit.
+    digit by digit.  So is a string that is not ASCII or holds "_":
+    Fraction reads "٣" as 3, and "1_000" as 1000 from Python 3.11 on only.
     """
     if isinstance(value, bool):
         raise DocumentError(f"{where}: expected a fraction string, got {value!r}")
@@ -60,6 +61,8 @@ def parse_fraction(value, where: str) -> Fraction:
     if isinstance(value, str):
         if re.search(r"[\d.][eE][-+]?\d", value):
             raise DocumentError(f"{where}: exponent notation is not accepted, got {_quoted(value)}")
+        if not value.isascii() or "_" in value:
+            raise DocumentError(f"{where}: bad fraction {_quoted(value)}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -143,7 +146,7 @@ def instance_from_document(doc) -> GameInstance:
                 raise DocumentError(f"{where}.members: players must be integers")
             members.append(m - 1)
         income = fraction(_expect(raw, "income", (str, int), where), f"{where}.income")
-        shares = None  # omitted: CoalitionSpec.of splits the income evenly
+        shares = None  # omitted: CoalitionSpec splits the income evenly
         if "shares" in raw:
             shares = {}
             for key, v in _expect(raw, "shares", dict, where).items():
@@ -157,7 +160,7 @@ def instance_from_document(doc) -> GameInstance:
                 if player - 1 in shares:
                     raise DocumentError(f"{where}.shares: repeated player key {_quoted(key)}")
                 shares[player - 1] = fraction(v, f"{where}.shares[{_quoted(key)}]")
-        coalitions.append(CoalitionSpec.of(members, income, shares))
+        coalitions.append(CoalitionSpec(members, income, shares))
 
     profiles = []
     raw_profiles = []  # omitted or null: no profiles
@@ -169,8 +172,8 @@ def instance_from_document(doc) -> GameInstance:
             raise DocumentError(f"{where}: expected an object")
         offers = _bit_cells(_field(raw, "offers", where))
         acceptances = _bit_cells(_field(raw, "acceptances", where))
-        try:  # bit_rows refuses a matrix that is not a list of rows
-            profiles.append(OfferProfile.of(offers, acceptances))
+        try:
+            profiles.append(OfferProfile(offers, acceptances))
         except ValueError as exc:
             raise DocumentError(f"{where}.{exc}") from None
 

@@ -46,37 +46,36 @@ class ActivationRule(Enum):
 class CoalitionSpec:
     """A 2- or 3-player coalition with an income and per-member shares.
 
-    Income may be negative.  Shares are kept exactly as given; whether
-    they sum to 1 is a validation concern, not a structural one.  The
-    mapping given is copied and `shares` is a read-only view of the copy
-    (`types.MappingProxyType`): it reads, and compares equal to a dict,
-    as the copy does, is unhashable as a dict is, and refuses assignment
-    and deletion with TypeError.  So a coalition never changes once built.
+    The constructor keeps the members as a tuple of ints and the income
+    and each share as a Fraction; shares left out split the income evenly.
+    Income may be negative.  Shares are kept exactly as given: whether they
+    sum to 1 is a validation concern, not a structural one.  `shares` is
+    a read-only view of a copy (`types.MappingProxyType`): it reads, and
+    compares equal to a dict, as the copy does, is unhashable as a dict
+    is, and refuses assignment and deletion with TypeError.  So a
+    coalition never changes once built.
     """
 
     members: tuple[int, ...]
     income: Fraction
-    shares: MappingProxyType[int, Fraction]
+    shares: MappingProxyType[int, Fraction] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shares", MappingProxyType(dict(self.shares)))
+        members = tuple(map(int, self.members))
+        if self.shares is None:
+            shares = {m: Fraction(1, len(members)) for m in members}
+        else:
+            shares = {
+                int(m): s if type(s) is Fraction else Fraction(s) for m, s in self.shares.items()
+            }
+        income = self.income if type(self.income) is Fraction else Fraction(self.income)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "income", income)
+        object.__setattr__(self, "shares", MappingProxyType(shares))
 
     def __reduce__(self):
         # a mappingproxy does not pickle: rebuild from a dict of the shares
         return self.__class__, (self.members, self.income, dict(self.shares))
-
-    @classmethod
-    def of(cls, members, income, shares=None) -> CoalitionSpec:
-        members = tuple(int(m) for m in members)
-        income = income if type(income) is Fraction else Fraction(income)
-        if shares is None:
-            shares = {m: Fraction(1, len(members)) for m in members}
-        else:
-            shares = {
-                int(m): s if type(s) is Fraction else Fraction(s)
-                for m, s in shares.items()
-            }
-        return cls(members, income, shares)
 
     def share_of(self, player: int) -> Fraction:
         return self.shares.get(player, Fraction(0))

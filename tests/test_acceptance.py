@@ -229,7 +229,7 @@ def test_restricted_equilibria_reproduction(capsys):
 def test_compromise_reproduction(capsys):
     def body():
         inst = worked_example()
-        matrix = PayoffMatrix.of(inst.payoff_matrix)
+        matrix = PayoffMatrix(inst.payoff_matrix)
         assert ideal_vector(matrix) == (23, 21, 26, 15, 22)
 
         sorted_rows = [tuple(sorted(r)) for r in regret_vectors(matrix)]
@@ -438,8 +438,8 @@ def test_property_suite(capsys):
                 [base[s][j] + offsets[j] for j in range(cols)]
                 for s in range(rows)
             ]
-            a = compromise_solution(PayoffMatrix.of(base))
-            b = compromise_solution(PayoffMatrix.of(shifted))
+            a = compromise_solution(PayoffMatrix(base))
+            b = compromise_solution(PayoffMatrix(shifted))
             assert a.regrets == b.regrets, f"case {k}"
             assert a.value == b.value and a.solutions == b.solutions
 
@@ -448,7 +448,7 @@ def test_property_suite(capsys):
             rng = random.Random(40_000 + k)
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 5)
-            matrix = PayoffMatrix.of([
+            matrix = PayoffMatrix([
                 [Fraction(rng.randint(-30, 30), rng.randint(1, 6))
                  for _ in range(cols)]
                 for _ in range(rows)

@@ -925,7 +925,7 @@ def test_a_command_leaves_no_garbage_that_grows_with_its_input(tmp_path):
     for count in (2, 200):
         base = random_instance(seed=count, n=10, coalition_count=30)
         profiles = tuple(
-            OfferProfile.of(*(
+            OfferProfile(*(
                 [[int(i != j and rng.random() < 0.6) for j in range(10)] for i in range(10)]
                 for _ in range(2)
             ))

@@ -19,20 +19,20 @@ from oracles import oracle_compromise
 
 def test_matrix_validation():
     with pytest.raises(ValueError, match="at least one row"):
-        PayoffMatrix.of([])
+        PayoffMatrix([])
     with pytest.raises(ValueError, match="at least one column"):
-        PayoffMatrix.of([[]])
+        PayoffMatrix([[]])
     with pytest.raises(ValueError, match="equal length"):
-        PayoffMatrix.of([[1, 2], [3]])
+        PayoffMatrix([[1, 2], [3]])
 
 
 def test_ideal_is_columnwise_max():
-    m = PayoffMatrix.of([[1, 5], [4, 2], [3, 3]])
+    m = PayoffMatrix([[1, 5], [4, 2], [3, 3]])
     assert ideal_vector(m) == (4, 5)
 
 
 def test_regrets_in_player_order_and_sorted_view():
-    m = PayoffMatrix.of([[1, 5], [4, 2]])
+    m = PayoffMatrix([[1, 5], [4, 2]])
     assert regret_vectors(m) == ((3, 0), (0, 3))
     assert tuple(tuple(sorted(r)) for r in regret_vectors(m)) == ((0, 3), (0, 3))
     # the sorted view never changes the selection
@@ -40,7 +40,7 @@ def test_regrets_in_player_order_and_sorted_view():
 
 
 def test_single_row_matrix_is_its_own_compromise():
-    m = PayoffMatrix.of([[7, -2, 9]])
+    m = PayoffMatrix([[7, -2, 9]])
     report = compromise_solution(m)
     assert report.ideal == (7, -2, 9)
     assert report.value == 0
@@ -48,7 +48,7 @@ def test_single_row_matrix_is_its_own_compromise():
 
 
 def test_negative_and_fractional_entries():
-    m = PayoffMatrix.of([[Fraction(1, 2), -3], [Fraction(-1, 2), 0]])
+    m = PayoffMatrix([[Fraction(1, 2), -3], [Fraction(-1, 2), 0]])
     report = compromise_solution(m)
     assert report.ideal == (Fraction(1, 2), 0)
     assert report.regrets == ((0, 3), (1, 0))
@@ -59,7 +59,7 @@ def test_negative_and_fractional_entries():
 
 def test_tie_refinement_is_optional_and_value_preserving():
     rows = [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
-    m = PayoffMatrix.of(rows)
+    m = PayoffMatrix(rows)
     plain = compromise_solution(m)
     assert plain.value == 2
     assert plain.solutions == (0, 1, 2)
@@ -84,7 +84,7 @@ def matrices(draw):
             max_size=7,
         )
     )
-    return PayoffMatrix.of(rows)
+    return PayoffMatrix(rows)
 
 
 @given(matrices())
@@ -101,7 +101,7 @@ def test_regrets_nonnegative_with_zero_in_each_column(matrix):
 @settings(max_examples=150)
 def test_shift_invariance_per_player(matrix, offsets):
     offsets = offsets[: matrix.n_players]
-    shifted = PayoffMatrix.of(
+    shifted = PayoffMatrix(
         [
             [v + offsets[c] for c, v in enumerate(row)]
             for row in matrix.rows
@@ -152,7 +152,7 @@ def tables_with_ties(draw):
 @given(tables_with_ties(), st.booleans())
 @settings(max_examples=300)
 def test_compromise_matches_fraction_oracle(rows, refine_ties):
-    report = compromise_solution(PayoffMatrix.of(rows), refine_ties=refine_ties)
+    report = compromise_solution(PayoffMatrix(rows), refine_ties=refine_ties)
     ideal, regrets, row_max, value, solutions = oracle_compromise(rows, refine_ties)
     assert report.ideal == tuple(ideal)
     assert report.regrets == tuple(map(tuple, regrets))
@@ -161,7 +161,7 @@ def test_compromise_matches_fraction_oracle(rows, refine_ties):
     assert report.solutions == tuple(solutions)
     numbers = [*report.ideal, *(v for r in report.regrets for v in r), *report.row_max, report.value]
     assert all(type(v) is Fraction for v in numbers)
-    assert tuple(tuple(sorted(r)) for r in regret_vectors(PayoffMatrix.of(rows))) == tuple(
+    assert tuple(tuple(sorted(r)) for r in regret_vectors(PayoffMatrix(rows))) == tuple(
         tuple(sorted(r)) for r in regrets
     )
 
@@ -178,23 +178,26 @@ def _primes(start: int, count: int) -> list[int]:
 def test_common_denominator_is_bounded():
     # 40 coprime 30-bit denominators need a 1,200-bit common denominator
     p = _primes(10 ** 9, 40)
-    matrix = PayoffMatrix.of([[Fraction(1, a) for a in p[:20]], [Fraction(1, b) for b in p[20:]]])
+    matrix = PayoffMatrix([[Fraction(1, a) for a in p[:20]], [Fraction(1, b) for b in p[20:]]])
     with pytest.raises(ValueError, match="common denominator of more than 1024 bits"):
         compromise_solution(matrix)
     with pytest.raises(ValueError, match="1024 bits"):
         regret_vectors(matrix)
     # lcm(1, ..., 700) has 1,009 bits: within the bound, and exact
     rows = [[Fraction(1, d) for d in range(k, 701, 7)] for k in range(1, 8)]
-    report = compromise_solution(PayoffMatrix.of(rows))
+    report = compromise_solution(PayoffMatrix(rows))
     ideal, regrets, row_max, value, solutions = oracle_compromise(rows, False)
     assert (report.ideal, report.regrets, report.value, report.solutions) == (
         tuple(ideal), tuple(map(tuple, regrets)), value, tuple(solutions)
     )
 
 
-def test_payoff_matrix_of_keeps_fractions_and_wraps_the_rest():
+def test_a_payoff_matrix_keeps_fractions_and_wraps_the_rest():
+    m = PayoffMatrix([[1, 2]])
+    assert m.rows == ((Fraction(1), Fraction(2)),)
+    assert type(m.rows) is tuple and type(m.rows[0]) is tuple
     half = Fraction(1, 2)
-    m = PayoffMatrix.of([[half, 3]])
+    m = PayoffMatrix([[half, 3]])
     assert m.rows[0][0] is half
     assert type(m.rows[0][1]) is Fraction and m.rows[0][1] == 3
 
@@ -207,22 +210,24 @@ def test_payoff_matrix_of_keeps_fractions_and_wraps_the_rest():
     ],
 )
 def test_ideal_vector_is_computed_once_per_command(monkeypatch, capsys, argv):
+    # `_regrets` is the one place that takes the column maxima
     from netform import cli, compromise
 
     calls = []
+    regrets = compromise._regrets
 
     def counting(matrix):
         calls.append(matrix)
-        return ideal_vector(matrix)
+        return regrets(matrix)
 
-    monkeypatch.setattr(compromise, "ideal_vector", counting)
+    monkeypatch.setattr(compromise, "_regrets", counting)
     assert cli.main(argv) == 0
     assert len(calls) == 1
     capsys.readouterr()
 
 
 def test_sorted_regrets_sort_each_report_row():
-    m = PayoffMatrix.of([[1, 5, 0], [4, 2, 2], [3, 3, 1]])
+    m = PayoffMatrix([[1, 5, 0], [4, 2, 2], [3, 3, 1]])
     report = compromise_solution(m)
     assert tuple(tuple(sorted(r)) for r in report.regrets) == tuple(
         tuple(sorted(r)) for r in regret_vectors(m)

@@ -26,19 +26,26 @@ SRC = str(Path(__file__).parents[1] / "src")
 
 def test_profile_requires_square_matrices():
     with pytest.raises(ValueError, match="square"):
-        OfferProfile.of([[0, 1], [0, 0], [0, 0]], [[0, 0], [0, 0]])
+        OfferProfile([[0, 1], [0, 0], [0, 0]], [[0, 0], [0, 0]])
     with pytest.raises(ValueError, match="square"):
-        OfferProfile.of([[0, 1], [0]], [[0, 0], [0, 0]])
+        OfferProfile([[0, 1], [0]], [[0, 0], [0, 0]])
+
+
+def test_a_profile_of_list_rows_equals_the_profile_of_bytes_rows():
+    profile = OfferProfile([[0, 1], [1, 0]], ([0, 0], (1, 0)))
+    assert profile == OfferProfile((b"\x00\x01", b"\x01\x00"), (b"\x00\x00", b"\x01\x00"))
+    assert all(type(m) is tuple for m in (profile.offers, profile.acceptances))
+    assert profile.acceptances == (b"\x00\x00", b"\x01\x00")
 
 
 def test_profile_requires_binary_entries():
     with pytest.raises(ValueError, match="0 or 1"):
-        OfferProfile.of([[0, 2], [0, 0]], [[0, 0], [0, 0]])
+        OfferProfile([[0, 2], [0, 0]], [[0, 0], [0, 0]])
 
 
 def test_form_needs_consent_in_both_directions():
     # 1 offers to 2, 2 accepts from 1; 2 offers to 1 but 1 does not accept
-    profile = OfferProfile.of(
+    profile = OfferProfile(
         [[0, 1], [1, 0]],
         [[0, 0], [1, 0]],
     )
@@ -63,7 +70,7 @@ SELF_CONSENT_WARNING = "profile 2: self-consent of player(s) 1, 3 forms no arc"
 
 def test_mutual_self_consent_is_stripped_with_warning(tmp_path, capsys):
     # forming strips the self-arc without a Python warning ...
-    profile = OfferProfile.of(
+    profile = OfferProfile(
         [[1, 1], [0, 0]],
         [[1, 0], [1, 0]],
     )
@@ -90,7 +97,7 @@ def test_mutual_self_consent_is_stripped_with_warning(tmp_path, capsys):
 
 
 def test_offer_only_diagonal_is_silently_ignored():
-    profile = OfferProfile.of(
+    profile = OfferProfile(
         [[1, 1], [0, 0]],
         [[0, 0], [1, 0]],
     )
@@ -152,7 +159,7 @@ def bit_matrix_pairs(draw):
 
 
 def _form(offers, acceptances):
-    return form_network(OfferProfile.of(offers, acceptances))
+    return form_network(OfferProfile(offers, acceptances))
 
 
 @given(bit_matrix_pairs())
@@ -263,6 +270,6 @@ def test_network_refuses_bad_masks():
 )
 def test_profile_refusals_keep_their_type_and_message(offers, acceptances, message):
     with pytest.raises(ValueError) as refused:
-        OfferProfile.of(offers, acceptances)
+        OfferProfile(offers, acceptances)
     assert type(refused.value) is ValueError
     assert str(refused.value) == message

@@ -294,7 +294,7 @@ def _oracle(rows):
 )
 @settings(max_examples=300)
 def test_every_matrix_reader_names_the_first_bad_cell(rows, field):
-    # the loader, OfferProfile.of, OfferProfile(...) on bytes rows and
+    # the loader, OfferProfile on the drawn rows and on bytes rows, and
     # Network.from_matrix accept the same matrices, read the same rows and
     # refuse the same first bad cell, by its position, or a value that is
     # no list of rows with one message
@@ -310,7 +310,7 @@ def test_every_matrix_reader_names_the_first_bad_cell(rows, field):
     expected = _oracle(rows)
     loaded = _outcome(lambda: getattr(load_instance(json.dumps(doc)).profiles[0], field))
     assert loaded == expected
-    assert _outcome(lambda: getattr(OfferProfile.of(**matrices), field)) == expected
+    assert _outcome(lambda: getattr(OfferProfile(**matrices), field)) == expected
     if type(rows) is list and all(type(row) is list and len(row) == n for row in rows) and all(
         type(v) is int and 0 <= v < 256 for row in rows for v in row
     ):
@@ -349,14 +349,14 @@ def test_rows_of_a_bytes_subclass_are_converted():
     class Row(bytes):
         pass
 
-    profile = OfferProfile.of([Row(b"\x00\x01"), b"\x00\x00"], (Row(b"\x00\x00"), Row(b"\x01\x00")))
+    profile = OfferProfile([Row(b"\x00\x01"), b"\x00\x00"], (Row(b"\x00\x00"), Row(b"\x01\x00")))
     assert all(type(row) is bytes for row in (*profile.offers, *profile.acceptances))
-    assert profile == OfferProfile.of([[0, 1], [0, 0]], [[0, 0], [1, 0]])
+    assert profile == OfferProfile([[0, 1], [0, 0]], [[0, 0], [1, 0]])
 
 
 def test_each_loaded_profile_matrix_is_checked_once(monkeypatch):
-    # `bit_rows` only converts a matrix, and `_checked` alone checks it:
-    # one square check and one 0/1 pass (a `bytes.translate`) per matrix
+    # `bit_rows` reads and checks each matrix once: one square check and
+    # one 0/1 pass (a `bytes.translate`) per matrix
     text = save_instance(worked_example())
     passes = []
 
@@ -371,8 +371,8 @@ def test_each_loaded_profile_matrix_is_checked_once(monkeypatch):
         sys.setprofile(None)
     assert passes == ["netform.formation"] * 2 * len(loaded.profiles)
     checked = []
-    check = formation._checked
-    monkeypatch.setattr(formation, "_checked", lambda m, name, n: checked.append(name) or check(m, name, n))
+    read = formation.bit_rows
+    monkeypatch.setattr(formation, "bit_rows", lambda rows, name: checked.append(name) or read(rows, name))
     assert load_instance(text) == loaded
     assert checked == ["offers", "acceptances"] * len(loaded.profiles)
 
@@ -386,13 +386,13 @@ def test_a_document_of_0_1_literals_never_runs_the_per_cell_type_pass(monkeypatc
     monkeypatch.setattr(formation, "_int_cells", lambda rows: passes.append(rows) or int_cells(rows))
     assert load_instance(save_instance(worked_example())) == worked_example()
     assert passes == []
-    OfferProfile.of([[0, 1], [0, 0]], [[0, 0], [1, 0]])
+    OfferProfile([[0, 1], [0, 0]], [[0, 0], [1, 0]])
     assert len(passes) == 2
 
 
 def test_a_bool_cell_from_a_caller_is_still_refused():
     with pytest.raises(ValueError, match=r"^offers\[0\]\[1\]: entries must be 0 or 1$"):
-        OfferProfile.of([[0, True], [0, 0]], [[0, 0], [0, 0]])
+        OfferProfile([[0, True], [0, 0]], [[0, 0], [0, 0]])
 
 
 # literals that the parser reads as cells (0, 1), as ints (-0, 2), or as
@@ -492,7 +492,7 @@ def test_fraction_strings_stay_exact():
 
 
 def test_members_one_based_in_documents():
-    inst = GameInstance(n=3, coalitions=(CoalitionSpec.of((0, 2), 1),))
+    inst = GameInstance(n=3, coalitions=(CoalitionSpec((0, 2), 1),))
     doc = instance_to_document(inst)
     assert doc["coalitions"][0]["members"] == [1, 3]
     assert set(doc["coalitions"][0]["shares"]) == {"1", "3"}
@@ -553,6 +553,20 @@ def test_exponent_notation_is_refused(field, where):
     with pytest.raises(DocumentError, match=r"exponent notation") as err:
         load_instance(_pair_doc(**field))
     assert str(err.value).startswith(where)
+
+
+@pytest.mark.parametrize("text", ["1_000", "٢", "1/٣"])
+@pytest.mark.parametrize(
+    "field, where",
+    [("income", "coalitions[0].income"), ("share", "coalitions[0].shares['1']"),
+     ("cell", "payoff_matrix[0][1]")],
+)
+def test_a_fraction_string_that_is_not_ascii_or_holds_an_underscore_is_refused(field, where, text):
+    # Fraction reads "1_000" as 1000 from Python 3.11 on only, and the
+    # Arabic-Indic digits as 2 and 1/3 on every version
+    with pytest.raises(DocumentError) as refused:
+        load_instance(_pair_doc(**{field: text}))
+    assert str(refused.value) == f"{where}: bad fraction {text!r}"
 
 
 @pytest.mark.parametrize(

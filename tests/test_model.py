@@ -20,11 +20,21 @@ def _inst(coalitions, n=5, **kwargs):
 
 
 def test_default_shares_are_uniform():
-    pair = CoalitionSpec.of((0, 3), -2)
+    pair = CoalitionSpec((0, 3), -2)
     assert pair.shares == {0: Fraction(1, 2), 3: Fraction(1, 2)}
-    triple = CoalitionSpec.of((0, 1, 2), 9)
+    triple = CoalitionSpec((0, 1, 2), 9)
     assert triple.share_of(1) == Fraction(1, 3)
     assert triple.share_of(4) == 0
+
+
+def test_a_coalition_converts_its_fields():
+    half = Fraction(1, 2)
+    assert CoalitionSpec([0, 1], 1) == CoalitionSpec((0, 1), Fraction(1), {0: half, 1: half})
+    given = CoalitionSpec([2, 0], -3, {2: 1, 0: "1/4"})
+    assert (given.members, given.income) == ((2, 0), Fraction(-3))
+    assert type(given.income) is Fraction
+    assert given.shares == {2: Fraction(1), 0: Fraction(1, 4)}
+    assert {type(s) for s in given.shares.values()} == {Fraction}
 
 
 def test_shares_are_a_private_copy_of_the_mapping_given():
@@ -32,36 +42,36 @@ def test_shares_are_a_private_copy_of_the_mapping_given():
     pair = CoalitionSpec((0, 1), Fraction(3), given)
     given[0] = Fraction(9)
     assert pair.shares == {0: Fraction(1, 2), 1: Fraction(1, 2)}
-    assert CoalitionSpec.of((0, 1), 3, given).shares == given
+    assert CoalitionSpec((0, 1), 3, given).shares == given
 
 
 def test_a_list_of_coalitions_changed_later_leaves_the_instance_alone():
-    given = [CoalitionSpec.of((0, 1), 2)]
+    given = [CoalitionSpec((0, 1), 2)]
     inst = GameInstance(3, given)
     network = Network.of(3, [(0, 1), (1, 2)])
     assert payoff_vector(inst, network, ActivationRule.LINKED) == (1, 1, 0)
-    given.append(CoalitionSpec.of((1, 2), 4))
-    assert inst.coalitions == (CoalitionSpec.of((0, 1), 2),)
+    given.append(CoalitionSpec((1, 2), 4))
+    assert inst.coalitions == (CoalitionSpec((0, 1), 2),)
     assert payoff_vector(inst, network, ActivationRule.LINKED) == (1, 1, 0)
 
 
 def test_pairs_and_label():
-    c = CoalitionSpec.of((2, 0, 4), 1)
+    c = CoalitionSpec((2, 0, 4), 1)
     assert c.pairs() == ((0, 2), (0, 4), (2, 4))
     assert c.label() == "(3,1,5)"
 
 
 def test_pair_bits_place_each_pair_at_low_n_plus_high():
-    assert CoalitionSpec.of((2, 0, 3), 1).pair_bits(4) == (2, 3, 11)
+    assert CoalitionSpec((2, 0, 3), 1).pair_bits(4) == (2, 3, 11)
     # a repeated or out-of-range member's pair is bit n*n
-    assert CoalitionSpec.of((1, 1, 2), 1).pair_bits(4) == (16, 6, 6)
-    assert CoalitionSpec.of((0, 4), 1).pair_bits(4) == (16,)
+    assert CoalitionSpec((1, 1, 2), 1).pair_bits(4) == (16, 6, 6)
+    assert CoalitionSpec((0, 4), 1).pair_bits(4) == (16,)
 
 
 def test_payoff_index_size_is_refused_at_the_edge(monkeypatch):
     # the masks reach bits 1, 11 and 11 (of pairs {0,1}, {2,3} and {2,3}):
     # 2 + 12 + 12 = 26 bits in all
-    coalitions = [CoalitionSpec.of((0, 1), 1), CoalitionSpec.of((2, 3), 1), CoalitionSpec.of((1, 2, 3), 1)]
+    coalitions = [CoalitionSpec((0, 1), 1), CoalitionSpec((2, 3), 1), CoalitionSpec((1, 2, 3), 1)]
     monkeypatch.setattr(model, "MAX_INDEX_BITS", 26)
     _, entries = _inst(coalitions, n=4).payoff_index
     assert [pairs for pairs, _ in entries] == [0b10, 1 << 11, 1 << 6 | 1 << 7 | 1 << 11]
@@ -77,7 +87,7 @@ def test_a_refused_payoff_index_builds_no_mask():
     coalitions, size = [], 0
     while size <= MAX_INDEX_BITS:
         a, b, c = next(triples)
-        coalitions.append(CoalitionSpec.of((a, b, c), 1))
+        coalitions.append(CoalitionSpec((a, b, c), 1))
         size += 1024 * b + c + 1
     inst = _inst(coalitions, n=1024)
     tracemalloc.start()
@@ -92,7 +102,7 @@ def test_a_refused_payoff_index_builds_no_mask():
 
 def test_valid_instance_passes():
     report = validate_instance(
-        _inst([CoalitionSpec.of((0, 1), 3), CoalitionSpec.of((0, 1, 2), -1)])
+        _inst([CoalitionSpec((0, 1), 3), CoalitionSpec((0, 1, 2), -1)])
     )
     assert report.ok
     assert report.warnings == ()
@@ -114,42 +124,42 @@ def test_player_count_too_large():
 
 def test_coalition_size_bounds():
     report = validate_instance(
-        _inst([CoalitionSpec.of((0,), 1), CoalitionSpec.of((0, 1, 2, 3), 1)])
+        _inst([CoalitionSpec((0,), 1), CoalitionSpec((0, 1, 2, 3), 1)])
     )
     assert sum("size must be 2 or 3" in e for e in report.errors) == 2
 
 
 def test_repeated_member_is_an_error():
-    report = validate_instance(_inst([CoalitionSpec.of((1, 1, 3), 1)]))
+    report = validate_instance(_inst([CoalitionSpec((1, 1, 3), 1)]))
     assert any("repeated member" in e for e in report.errors)
 
 
 def test_out_of_range_member():
-    report = validate_instance(_inst([CoalitionSpec.of((0, 5), 1)]))
+    report = validate_instance(_inst([CoalitionSpec((0, 5), 1)]))
     assert any("out of range" in e for e in report.errors)
 
 
 def test_duplicate_member_sets_rejected():
     report = validate_instance(
-        _inst([CoalitionSpec.of((0, 1, 2), 1), CoalitionSpec.of((2, 1, 0), 5)])
+        _inst([CoalitionSpec((0, 1, 2), 1), CoalitionSpec((2, 1, 0), 5)])
     )
     assert any("same member set" in e for e in report.errors)
 
 
 def test_share_keys_must_match_members():
-    c = CoalitionSpec.of((0, 1), 1, shares={0: 1})
+    c = CoalitionSpec((0, 1), 1, shares={0: 1})
     report = validate_instance(_inst([c]))
     assert any("share keys" in e for e in report.errors)
 
 
 def test_negative_share_is_an_error():
-    c = CoalitionSpec.of((0, 1), 1, shares={0: Fraction(3, 2), 1: Fraction(-1, 2)})
+    c = CoalitionSpec((0, 1), 1, shares={0: Fraction(3, 2), 1: Fraction(-1, 2)})
     report = validate_instance(_inst([c]))
     assert any("negative share" in e for e in report.errors)
 
 
 def test_share_sum_strictness():
-    c = CoalitionSpec.of((0, 1), 4, shares={0: Fraction(1, 2), 1: Fraction(1, 4)})
+    c = CoalitionSpec((0, 1), 4, shares={0: Fraction(1, 2), 1: Fraction(1, 4)})
     lenient = validate_instance(_inst([c]), strict=False)
     assert lenient.ok
     assert any("shares sum to 3/4" in w for w in lenient.warnings)
@@ -162,13 +172,13 @@ def test_interleaved_findings_keep_their_order_in_both_modes():
     # share-sum fault on coalition 3, a self-consent profile, a short payoff row
     half = Fraction(1, 2)
     coalitions = [
-        CoalitionSpec.of((0, 1), 4, shares={0: half, 1: Fraction(1, 4)}),
-        CoalitionSpec.of((0, 1, 2, 3), 1),
-        CoalitionSpec.of((2, 3), 1, shares={2: Fraction(1), 3: Fraction(1)}),
+        CoalitionSpec((0, 1), 4, shares={0: half, 1: Fraction(1, 4)}),
+        CoalitionSpec((0, 1, 2, 3), 1),
+        CoalitionSpec((2, 3), 1, shares={2: Fraction(1), 3: Fraction(1)}),
     ]
     loop = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     inst = _inst(
-        coalitions, n=4, profiles=(OfferProfile.of(loop, loop),), payoff_matrix=((half,) * 3,)
+        coalitions, n=4, profiles=(OfferProfile(loop, loop),), payoff_matrix=((half,) * 3,)
     )
     sum1 = "coalition 1 (1,2): shares sum to 3/4, not 1"
     size2 = "coalition 2 (1,2,3,4): size must be 2 or 3, got 4"
@@ -190,7 +200,7 @@ def test_int_payments_and_share_sums_match_fraction_arithmetic(rows):
     # uneven and negative shares, mixed-sign incomes: the index's ints and
     # the share-sum check agree with plain Fraction products and sums
     coalitions = [
-        CoalitionSpec.of((a, a + b), income, {a: s, a + b: t}) for a, b, income, s, t in rows
+        CoalitionSpec((a, a + b), income, {a: s, a + b: t}) for a, b, income, s, t in rows
     ]
     inst = _inst(coalitions, n=7)
     products = [[c.share_of(m) * c.income for m in c.members] for c in coalitions]
@@ -210,15 +220,15 @@ def test_int_payments_and_share_sums_match_fraction_arithmetic(rows):
 
 
 def test_profile_dimension_mismatch():
-    profile = OfferProfile.of([[0, 1], [0, 0]], [[0, 0], [1, 0]])
-    report = validate_instance(_inst([CoalitionSpec.of((0, 1), 1)], profiles=(profile,)))
+    profile = OfferProfile([[0, 1], [0, 0]], [[0, 0], [1, 0]])
+    report = validate_instance(_inst([CoalitionSpec((0, 1), 1)], profiles=(profile,)))
     assert any("profile 1" in e and "2x2" in e for e in report.errors)
 
 
 def test_payoff_matrix_width_checked():
     report = validate_instance(
         _inst(
-            [CoalitionSpec.of((0, 1), 1)],
+            [CoalitionSpec((0, 1), 1)],
             payoff_matrix=((Fraction(1), Fraction(2)),),
         )
     )
@@ -226,8 +236,8 @@ def test_payoff_matrix_width_checked():
 
 
 def test_payoff_matrix_row_count_must_match_profiles():
-    profile = OfferProfile.of([[0, 1], [1, 0]], [[0, 1], [1, 0]])
-    coalitions = [CoalitionSpec.of((0, 1), 1)]
+    profile = OfferProfile([[0, 1], [1, 0]], [[0, 1], [1, 0]])
+    coalitions = [CoalitionSpec((0, 1), 1)]
     row = (Fraction(1, 2), Fraction(1, 2))
     short = _inst(coalitions, n=2, profiles=(profile, profile), payoff_matrix=(row,))
     assert "payoff table has 1 rows for 2 profiles" in validate_instance(short).errors
@@ -238,11 +248,11 @@ def test_payoff_matrix_row_count_must_match_profiles():
 
 
 def test_rule_resolution_precedence():
-    inst = _inst([CoalitionSpec.of((0, 1), 1)])
+    inst = _inst([CoalitionSpec((0, 1), 1)])
     assert inst.rule_or(None) is ActivationRule.LINKED
     assert inst.rule_or(ActivationRule.MUTUAL) is ActivationRule.MUTUAL
     with_default = _inst(
-        [CoalitionSpec.of((0, 1), 1)], default_rule=ActivationRule.MUTUAL
+        [CoalitionSpec((0, 1), 1)], default_rule=ActivationRule.MUTUAL
     )
     assert with_default.rule_or(None) is ActivationRule.MUTUAL
     assert with_default.rule_or(ActivationRule.LINKED) is ActivationRule.LINKED

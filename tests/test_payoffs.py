@@ -95,7 +95,7 @@ def test_profile_payoffs_equal_oracle_rows():
 def test_negative_income_flows_through():
     inst = GameInstance(
         n=3,
-        coalitions=(CoalitionSpec.of((0, 1), -6),),
+        coalitions=(CoalitionSpec((0, 1), -6),),
     )
     net = Network.of(3, [(0, 1)])
     assert payoff_vector(inst, net, LINKED) == (Fraction(-3), Fraction(-3), 0)
@@ -104,7 +104,7 @@ def test_negative_income_flows_through():
 
 def test_common_denominator_of_payments_is_bounded():
     def paying(denominator):  # player 1 takes the whole income 1/denominator
-        pair = CoalitionSpec.of((0, 1), Fraction(1, denominator), {0: 1, 1: 0})
+        pair = CoalitionSpec((0, 1), Fraction(1, denominator), {0: 1, 1: 0})
         return GameInstance(n=2, coalitions=(pair,))
 
     net = Network.of(2, [(0, 1)])
@@ -123,7 +123,7 @@ def test_a_network_of_the_wrong_size_is_refused(n):
     arcs = [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]
     inst = worked_example()
     complete = [[int(i != j) for j in range(n)] for i in range(n)]
-    profile = OfferProfile.of(complete, complete)
+    profile = OfferProfile(complete, complete)
     mismatched = GameInstance(inst.n, inst.coalitions, (profile,))
     message = f"network on {n} players, instance has 5"
     for call in (
@@ -159,7 +159,7 @@ def coalition_families(draw):
             continue
         members_seen.add(members)
         income = Fraction(draw(st.integers(min_value=-9, max_value=9)))
-        coalitions.append(CoalitionSpec.of(members, income))
+        coalitions.append(CoalitionSpec(members, income))
     return GameInstance(n=n, coalitions=tuple(coalitions)), draw(networks(n))
 
 
@@ -210,7 +210,7 @@ def weighted_families(draw):
         raw = draw(st.lists(st.integers(min_value=0, max_value=5), min_size=len(members), max_size=len(members)))
         scale = sum(raw) or 1
         shares = {m: Fraction(r, scale) for m, r in zip(members, raw)}
-        coalitions.append(CoalitionSpec.of(members, draw(fractions), shares))
+        coalitions.append(CoalitionSpec(members, draw(fractions), shares))
     return GameInstance(n=n, coalitions=tuple(coalitions)), draw(networks(n))
 
 

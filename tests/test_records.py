@@ -72,7 +72,7 @@ CASES = [
         "OfferProfile(offers=(b'\\x00\\x01', b'\\x01\\x00'), "
         "acceptances=(b'\\x01\\x00', b'\\x00\\x01'))",
         [
-            ((ROWS, ROWS[:1]), "acceptances must be a square 2x2 matrix"),
+            ((ROWS, ROWS[:1]), "acceptances must be a square 1x1 matrix"),
             ((ROWS, (b"\x00\x01", b"\x01")), "acceptances must be a square 2x2 matrix"),
             (((b"\x00\x02", b"\x00\x00"), ROWS), r"offers\[0\]\[1\]: entries must be 0 or 1"),
         ],

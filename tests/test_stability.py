@@ -47,7 +47,7 @@ LINKED = ActivationRule.LINKED
 
 
 def test_stable_network_with_nothing_to_lose():
-    inst = GameInstance(n=3, coalitions=(CoalitionSpec.of((0, 1), 5),))
+    inst = GameInstance(n=3, coalitions=(CoalitionSpec((0, 1), 5),))
     net = Network.of(3, [(0, 1), (1, 0)])
     for rule in (MUTUAL, LINKED):
         report = is_stable(inst, net, rule)
@@ -59,8 +59,8 @@ def test_witness_has_maximal_gain_and_recomputes():
     inst = GameInstance(
         n=3,
         coalitions=(
-            CoalitionSpec.of((0, 1), -2),
-            CoalitionSpec.of((0, 2), -8),
+            CoalitionSpec((0, 1), -2),
+            CoalitionSpec((0, 2), -8),
         ),
     )
     net = Network.of(3, [(0, 1), (0, 2)])
@@ -79,7 +79,7 @@ def test_witness_has_maximal_gain_and_recomputes():
 def test_witness_tie_breaks_prefer_small_subsets():
     # under MUTUAL either single arc already deactivates, and so does the
     # union: identical gains, so the smallest earliest subset wins
-    inst = GameInstance(n=3, coalitions=(CoalitionSpec.of((0, 1), -4),))
+    inst = GameInstance(n=3, coalitions=(CoalitionSpec((0, 1), -4),))
     net = Network.of(3, [(0, 1), (1, 0)])
     report = is_stable(inst, net, MUTUAL)
     assert not report.stable
@@ -96,9 +96,9 @@ def test_witness_tie_breaks_prefer_small_subsets():
 def test_one_cut_switches_off_every_coalition_through_the_pair():
     # cutting partner 1 drops both negative coalitions of player 0 at once
     inst = GameInstance(n=4, coalitions=(
-        CoalitionSpec.of((0, 1, 2), -6),
-        CoalitionSpec.of((0, 1, 3), -3),
-        CoalitionSpec.of((0, 2), 4, {0: 1, 2: 1}),
+        CoalitionSpec((0, 1, 2), -6),
+        CoalitionSpec((0, 1, 3), -3),
+        CoalitionSpec((0, 2), 4, {0: 1, 2: 1}),
     ))
     net = Network.of(4, [(i, j) for i in range(4) for j in range(4) if i != j])
     for rule, removed in ((MUTUAL, ((0, 1),)), (LINKED, ((0, 1), (1, 0)))):
@@ -113,7 +113,7 @@ def test_one_cut_switches_off_every_coalition_through_the_pair():
 
 
 def test_network_size_mismatch_rejected():
-    inst = GameInstance(n=3, coalitions=(CoalitionSpec.of((0, 1), 1),))
+    inst = GameInstance(n=3, coalitions=(CoalitionSpec((0, 1), 1),))
     for n in (2, 4):
         message = f"network on {n} players, instance has 3"
         with pytest.raises(ValueError, match=message):
@@ -126,7 +126,7 @@ def test_star_of_independent_partners_is_searched_part_by_part():
     # no stake holds two of player 0's 21 partners, so its 2^21 - 1 sets
     # are 21 one-partner parts: 21 cut sets, searched
     inst = GameInstance(
-        n=22, coalitions=tuple(CoalitionSpec.of((0, k), -1) for k in range(1, 22))
+        n=22, coalitions=tuple(CoalitionSpec((0, k), -1) for k in range(1, 22))
     )
     star = Network.of(22, [a for k in range(1, 22) for a in ((0, k), (k, 0))])
     assert 2**21 - 1 > MAX_CUT_SETS
@@ -140,7 +140,7 @@ def test_cut_set_limit_is_refused_before_any_search(monkeypatch):
     # part: 2^21 - 1 cut sets.  Players 1 and 21 add 3 each, and players
     # 2 to 20, whose partners 0, k-1 and k+1 form one part, add 7 each
     inst = GameInstance(
-        n=22, coalitions=tuple(CoalitionSpec.of((0, k, k + 1), -1) for k in range(1, 21))
+        n=22, coalitions=tuple(CoalitionSpec((0, k, k + 1), -1) for k in range(1, 21))
     )
     complete = Network.of(22, [(i, j) for i in range(22) for j in range(22) if i != j])
     monkeypatch.setattr(stability, "_best_cut", None)  # searching would raise TypeError
@@ -168,8 +168,8 @@ def test_complete_40_player_networks_get_a_verdict(seed, player, gain):
 def test_profile_pair_limit_is_refused_before_any_network_is_formed(monkeypatch):
     # 362 profiles give 130,682 ordered pairs and 363 give 131,406: the
     # limit sits between them
-    empty = OfferProfile.of([[0, 0], [0, 0]], [[0, 0], [0, 0]])
-    pair = (CoalitionSpec.of((0, 1), 1),)
+    empty = OfferProfile([[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    pair = (CoalitionSpec((0, 1), 1),)
     assert 362 * 361 <= MAX_PROFILE_PAIRS < 363 * 362
     report = restricted_equilibria(GameInstance(n=2, coalitions=pair, profiles=(empty,) * 362), LINKED)
     assert report.equilibria == tuple(range(362)) and report.deviations == ()
@@ -187,7 +187,7 @@ def test_cut_set_search_memory_stays_flat():
     k = 12
     inst = GameInstance(
         n=k + 1,
-        coalitions=tuple(CoalitionSpec.of((0, q, q + 1), -1 if q % 2 else 1) for q in range(1, k)),
+        coalitions=tuple(CoalitionSpec((0, q, q + 1), -1 if q % 2 else 1) for q in range(1, k)),
     )
     complete = [(i, j) for i in range(k + 1) for j in range(k + 1) if i != j]
     tracemalloc.start()
@@ -214,7 +214,7 @@ def test_brute_force_matches_oracle_on_random_cases():
         )
         # random shares, zero and non-unit sums included
         inst = GameInstance(n=n, coalitions=tuple(
-            CoalitionSpec.of(c.members, c.income, {m: Fraction(rng.randint(0, 3), 2) for m in c.members})
+            CoalitionSpec(c.members, c.income, {m: Fraction(rng.randint(0, 3), 2) for m in c.members})
             for c in drawn.coalitions
         ))
         g = random_adjacency(rng, n, rng.uniform(0.1, 1.0))
@@ -245,7 +245,7 @@ def test_integer_stakes_match_oracle_with_uneven_shares():
             if case % 2 or all(len(set(members) & set(c)) < 2 for c in chosen):
                 chosen.append(members)
         inst = GameInstance(n=n, coalitions=tuple(
-            CoalitionSpec.of(
+            CoalitionSpec(
                 members,
                 Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6, 12))),
                 {m: rng.choice(shares) for m in members},
@@ -326,8 +326,8 @@ def test_disjoint_verdict_and_witness():
     inst = GameInstance(
         n=5,
         coalitions=(
-            CoalitionSpec.of((0, 1, 2), 4),
-            CoalitionSpec.of((2, 3), -2),
+            CoalitionSpec((0, 1, 2), 4),
+            CoalitionSpec((2, 3), -2),
         ),
     )
     assert find_overlapping_pair(inst) is None
@@ -346,7 +346,7 @@ def test_disjoint_verdict_and_witness():
     assert not is_stable(inst, shaky, LINKED).stable
 
     # under MUTUAL one arc of the pair unlinks it, as in is_stable
-    pair = GameInstance(n=2, coalitions=(CoalitionSpec.of((0, 1), -2),))
+    pair = GameInstance(n=2, coalitions=(CoalitionSpec((0, 1), -2),))
     both = Network.of(2, [(0, 1), (1, 0)])
     w = check_disjoint_stability(pair, both, MUTUAL).witness
     assert (w.player, w.removed_arcs, w.gain) == (0, ((0, 1),), Fraction(1))
@@ -357,7 +357,7 @@ def test_zero_share_negative_coalition_is_stable_for_both_engines():
     # income -1 split 0/0 pays nobody, so breaking the pair gains nothing
     inst = GameInstance(
         n=2,
-        coalitions=(CoalitionSpec.of((0, 1), -1, {0: 0, 1: 0}),),
+        coalitions=(CoalitionSpec((0, 1), -1, {0: 0, 1: 0}),),
     )
     net = Network.of(2, [(0, 1), (1, 0)])
     for rule in (ActivationRule.MUTUAL, LINKED):
@@ -375,7 +375,7 @@ def test_restricted_equilibria_frozen_result():
 
 
 def test_restricted_equilibria_empty_profiles():
-    inst = GameInstance(n=2, coalitions=(CoalitionSpec.of((0, 1), 1),))
+    inst = GameInstance(n=2, coalitions=(CoalitionSpec((0, 1), 1),))
     report = restricted_equilibria(inst, LINKED)
     assert report.equilibria == ()
     assert report.deviations == ()
@@ -385,10 +385,10 @@ def test_a_removal_that_touches_both_ends_moves_each_player_that_gains():
     # profile 1 forms only the arc 2 -> 1 (0-based (1, 0)), profile 2 is empty
     inst = GameInstance(
         n=2,
-        coalitions=(CoalitionSpec.of((0, 1), -2),),
+        coalitions=(CoalitionSpec((0, 1), -2),),
         profiles=(
-            OfferProfile.of([[0, 0], [1, 0]], [[0, 1], [0, 0]]),
-            OfferProfile.of([[0, 0], [0, 0]], [[0, 0], [0, 0]]),
+            OfferProfile([[0, 0], [1, 0]], [[0, 1], [0, 0]]),
+            OfferProfile([[0, 0], [0, 0]], [[0, 0], [0, 0]]),
         ),
     )
     report = restricted_equilibria(inst, LINKED)
@@ -410,7 +410,7 @@ def test_restricted_equilibria_memory_follows_the_profiles():
     empty = (bytes(n),) * n
     inst = GameInstance(
         n=n,
-        coalitions=(CoalitionSpec.of((0, 1), -2), CoalitionSpec.of((0, 2, 3), 3)),
+        coalitions=(CoalitionSpec((0, 1), -2), CoalitionSpec((0, 2, 3), 3)),
         profiles=(OfferProfile(star, star), OfferProfile(empty, empty)),
     )
     tracemalloc.start()
@@ -442,7 +442,7 @@ def dense_cases(draw, max_players=10, fewest=None):
     shares = st.sampled_from(UNEVEN_SHARES)
     least = min(n if fewest is None else fewest, len(groups))
     coalitions = tuple(
-        CoalitionSpec.of(ms, draw(income), {m: draw(shares) for m in ms})
+        CoalitionSpec(ms, draw(income), {m: draw(shares) for m in ms})
         for ms in draw(st.lists(
             st.sampled_from(groups), min_size=least, max_size=3 * n, unique=True
         ))
@@ -505,7 +505,7 @@ def test_disjoint_union_is_judged_part_by_part(parts, rule):
     coalitions, arcs, offset, witnesses = [], [], 0, []
     for inst, part_arcs in parts:
         coalitions += [
-            CoalitionSpec.of(
+            CoalitionSpec(
                 [m + offset for m in c.members], c.income,
                 {m + offset: s for m, s in c.shares.items()},
             )
@@ -534,7 +534,7 @@ def test_relabelling_the_players_permutes_the_payoffs_and_keeps_the_verdict(case
     inst, arcs = case
     perm = data.draw(st.permutations(range(inst.n)))
     relabelled = GameInstance(n=inst.n, coalitions=tuple(
-        CoalitionSpec.of([perm[m] for m in c.members], c.income,
+        CoalitionSpec([perm[m] for m in c.members], c.income,
                          {perm[m]: s for m, s in c.shares.items()})
         for c in inst.coalitions
     ))
@@ -596,7 +596,7 @@ def test_worked_example_classes_of_active_coalitions(rule):
 def test_scaling_every_income_scales_the_gain_and_keeps_the_witness(case, rule, factor):
     inst, arcs = case
     scaled = GameInstance(n=inst.n, coalitions=tuple(
-        CoalitionSpec.of(c.members, c.income * factor, c.shares) for c in inst.coalitions
+        CoalitionSpec(c.members, c.income * factor, c.shares) for c in inst.coalitions
     ))
     net = Network.of(inst.n, arcs)
     report, scaled_report = is_stable(inst, net, rule), is_stable(scaled, net, rule)
@@ -633,7 +633,7 @@ def test_walks_past_the_first_block_match_the_reference(monkeypatch):
         drawn = random_instance(seed=seed, n=11, coalition_count=60, income_range=(-6, 6))
         rng = random.Random(seed)
         inst = GameInstance(n=11, coalitions=tuple(
-            CoalitionSpec.of(c.members, c.income, {m: rng.choice(UNEVEN_SHARES) for m in c.members})
+            CoalitionSpec(c.members, c.income, {m: rng.choice(UNEVEN_SHARES) for m in c.members})
             for c in drawn.coalitions
         ))
         arcs = [(i, j) for i in range(11) for j in range(11) if i != j]
@@ -659,7 +659,7 @@ def profile_batches(draw):
     groups = [ms for size in (2, 3) for ms in combinations(range(n), size)]
     shares = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
     coalitions = tuple(
-        CoalitionSpec.of(ms, draw(st.integers(-4, 4)), {m: draw(shares) for m in ms})
+        CoalitionSpec(ms, draw(st.integers(-4, 4)), {m: draw(shares) for m in ms})
         for ms in draw(st.lists(st.sampled_from(groups), min_size=1, max_size=6, unique=True))
     )
     pairs = []
@@ -684,7 +684,7 @@ def test_restricted_equilibria_match_matrix_oracle(batch):
     inst = GameInstance(
         n=n,
         coalitions=coalitions,
-        profiles=tuple(OfferProfile.of(o, a) for o, a in pairs),
+        profiles=tuple(OfferProfile(o, a) for o, a in pairs),
     )
     networks = [oracle_form(o, a) for o, a in pairs]
     for rule in ActivationRule:
