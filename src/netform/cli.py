@@ -2,8 +2,9 @@
 
 Subcommands: form, payoffs, equilibria, compromise, check-disjoint,
 generate.  Players, profiles, and arcs are 1-based everywhere here.
-Exit codes: 0 success, 1 negative domain verdict (an instability the
-caller asked to be flagged), 2 usage, parse, or precondition errors.
+Exit codes: 0 success, 1 negative domain verdict (any unstable verdict
+of check-disjoint, or an instability that equilibria was asked to flag
+with --assert-stable), 2 usage, parse, or precondition errors.
 """
 
 from __future__ import annotations

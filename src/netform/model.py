@@ -137,7 +137,8 @@ class GameInstance:
         holds, per coalition in instance order, `(pairs, stakes)`: the
         mask of the coalition's `pair_bits` and `(member, co-members,
         share × income × L)` for each member paid a nonzero amount, the
-        co-members as a frozenset and the amount as an int.  This is the
+        co-members as a mask with bit q for co-member q (a member outside
+        0..n−1 adds no bit) and the amount as an int.  This is the
         only place that turns shares and incomes into payments.  Raises
         ValueError, before building any mask, when the masks would hold
         more than MAX_INDEX_BITS bits, and before scaling any amount, when
@@ -153,15 +154,15 @@ class GameInstance:
         paid = []
         for c, pair_bits in zip(self.coalitions, bits):
             p, q = c.income.numerator, c.income.denominator
-            members = c.member_set()
+            bit = {m: 1 << m for m in c.members if 0 <= m < self.n}
+            members = sum(bit.values())
             stakes = []
             for m in c.members:
                 s = c.shares.get(m)
                 if s and p:
                     g, h = gcd(s.numerator, q), gcd(p, s.denominator)
-                    stakes.append(
-                        (m, members - {m}, (s.numerator // g) * (p // h), (s.denominator // h) * (q // g))
-                    )
+                    others = members & ~bit.get(m, 0)
+                    stakes.append((m, others, (s.numerator // g) * (p // h), (s.denominator // h) * (q // g)))
             paid.append((sum(1 << b for b in set(pair_bits)), stakes))
         denominator = common_denominator(
             {d for _, stakes in paid for *_, d in stakes}, "coalition payments"

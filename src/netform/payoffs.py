@@ -11,9 +11,10 @@ exactly 0.
 The pair graph is a mask, like the network it comes from: bit
 low*n + high stands for the pair {low, high}.  An instance compiles its
 coalitions once, on first use (`GameInstance.payoff_index`): each
-coalition's pair mask, and each paid member's co-members and share ×
-income as an int over one common denominator.  A coalition with pair
-mask m is active in graph g when `g & m == m`.  Payoffs and both
+coalition's pair mask, and each paid member's co-members, as a mask
+with bit q for co-member q, and share × income as an int over one
+common denominator.  A coalition with pair mask m is active in graph g
+when `g & m == m`.  Payoffs and both
 stability engines read that index: they only AND masks and add ints.
 A payoff stays an int numerator over L (`_totals`) through every sum,
 difference and comparison, which is exact because L > 0; only a value

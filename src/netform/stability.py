@@ -24,9 +24,10 @@ from .record import record
 
 # Largest number of cut sets `is_stable` will try: 2^|part| − 1 per part
 # of partners left after the reductions, summed over parts and players.
-# At about 0.4 microseconds per cut set with every part walked (a
-# complete 16-player network with 200 coalitions: 272,368 cut sets in
-# 0.10 s on an Intel Xeon vCPU) this is at most about 0.4 s of search.
+# At the accepted edge, one part of 20 partners (1,048,575 cut sets: the
+# hub of 19 chained losing triples on a complete 21-player network) is
+# searched in 0.19–0.24 s on an Intel Xeon vCPU under either rule, and
+# `equilibria --mode full` on it exits in 0.25–0.37 s.
 MAX_CUT_SETS = 2**20
 
 # Most ordered pairs of stored profiles, P·(P−1), that
@@ -121,10 +122,10 @@ def _gray_flips(flips: list):
 def _stake_table(instance: GameInstance, network: Network, rule: ActivationRule) -> list:
     """What each player's search walks: per player, `(floor, parts)`.
     The floor is the sum of the player's negative stakes, so no cut set
-    pays less.  Each part is `(partners, stakes)`, the partners sorted
-    and each stake `(co-members among them, amount × L)`.  Built from
-    the active coalitions' int stakes in `GameInstance.payoff_index`,
-    with three exact reductions:
+    pays less.  Each part is `(partners, stakes)`, the partners a mask
+    with bit q for partner q and each stake `(mask of its co-members
+    among them, amount × L)`.  Built from the active coalitions' int
+    stakes in `GameInstance.payoff_index`, with three exact reductions:
     - a partner that holds no negative stake is never cut: adding it to
       a cut set stops only stakes that pay, and removes more arcs.  A
       stake whose co-members are all such partners is never stopped;
@@ -135,70 +136,60 @@ def _stake_table(instance: GameInstance, network: Network, rule: ActivationRule)
     """
     _, entries = instance.payoff_index
     stakes = [[] for _ in range(instance.n)]  # per player: (co-members, amount × L)
-    cuttable = [set() for _ in range(instance.n)]  # per player: who holds a negative stake
+    cuttable = [0] * instance.n  # per player: who holds a negative stake
     floors = [0] * instance.n  # per player: the sum of its negative stakes
     for k in _active(instance, network, rule):
         for m, others, w in entries[k][1]:
             stakes[m].append((others, w))
             if w < 0:
-                cuttable[m].update(others)
+                cuttable[m] |= others
                 floors[m] += w
     table = []
     for ws, cut, floor in zip(stakes, cuttable, floors):
-        parts = []  # [partners, stakes]; a part that joins another is emptied
+        parts = {}  # partners: stakes, the partner masks disjoint
         for others, w in ws if cut else ():
             held = others & cut
-            if not held:
-                continue
-            joined = None
-            for part in parts:
-                if part[0].isdisjoint(held):
-                    continue
-                if joined is None:
-                    joined = part
-                else:  # this stake joins two parts
-                    joined[0] |= part[0]
-                    joined[1] += part[1]
-                    part[0], part[1] = set(), []
-            if joined is None:
-                joined = [set(), []]
-                parts.append(joined)
-            joined[0] |= held
-            joined[1].append((held, w))
-        table.append((floor, [(sorted(partners), through) for partners, through in parts if partners]))
+            if held:  # one part holds this stake and every part it meets
+                through = [(held, w)]
+                for partners in [partners for partners in parts if partners & held]:
+                    held |= partners
+                    through += parts.pop(partners)
+                parts[held] = through
+        table.append((floor, list(parts.items())))
     return table
 
 
-def _best_cut(network: Network, player: int, rule: ActivationRule, partners, stakes, limit: int):
+def _best_cut(network: Network, player: int, rule: ActivationRule, partners: int, stakes):
     """The least `(paid, arc count, removed arcs)` over the nonempty sets
-    of `partners` that `player` can cut and that pay at most `limit`,
+    of `partners` that `player` can cut and that pay a negative amount,
     or None.
 
-    The sets are walked in Gray-code order: the partners are numbered
-    as bits, and each step flips one of them into or out of S.  A stake
+    The sets are walked in Gray-code order over the partners' bits,
+    lowest first: each step flips one of them into or out of S.  A stake
     stops being paid when S first meets its co-members, so a flip of q
     changes the amount paid only through the stakes that hold q and no
     other member of S.  The arcs of a set are built only when it pays at
     most the best set found so far."""
-    bit_of = {q: 1 << b for b, q in enumerate(partners)}
-    # per partner q: what p stops being paid when q joins an S holding
+    # per partner bit q: what p stops being paid when q joins an S holding
     # none of a stake's other co-members, split into the stakes that
     # q alone holds and (mask of the others, amount) for the rest
-    alone = dict.fromkeys(partners, 0)
-    shared = {q: [] for q in partners}
-    for others, w in stakes:
-        held = sum(map(bit_of.__getitem__, others))
-        for q in others:
-            rest = held ^ bit_of[q]
-            if rest:
-                shared[q].append((rest, w))
-            else:
-                alone[q] += w
-    flips = [(bit_of[q], alone[q], shared[q]) for q in partners]
+    bits, rest = [], partners  # each partner's bit, lowest first
+    while rest:
+        bits.append(rest & -rest)
+        rest &= rest - 1
+    alone = dict.fromkeys(bits, 0)
+    shared = {bit: [] for bit in bits}
+    for held, w in stakes:
+        for bit in bits:
+            if held == bit:
+                alone[bit] += w
+            elif held & bit:
+                shared[bit].append((held ^ bit, w))
+    flips = [(bit, alone[bit], shared[bit]) for bit in bits]
     arcs_to = None  # (bit, `unlinking_arcs`) per partner, once a set is tried
     # a set is tried when it pays at most `limit`, and when it pays
     # exactly that, removes at most `most` arcs
-    most = network.n**2
+    limit, most = -1, network.n**2
     best = None
     cut = paid = 0
     for bit, change, through in _gray_flips(flips):
@@ -213,7 +204,7 @@ def _best_cut(network: Network, player: int, rule: ActivationRule, partners, sta
         if paid > limit:
             continue
         if arcs_to is None:
-            arcs_to = [(b, unlinking_arcs(network, player, q, rule)) for q, b in bit_of.items()]
+            arcs_to = [(b, unlinking_arcs(network, player, b.bit_length() - 1, rule)) for b in bits]
             double = sum(b for b, arcs in arcs_to if len(arcs) == 2)
         size = cut.bit_count() + (cut & double).bit_count()
         if paid == limit and size > most:
@@ -239,22 +230,24 @@ def is_stable(
     `_stake_table` reduces it exactly: partners that hold only positive
     stakes are never cut, a player with no negative stake is not
     searched, and the partners left split into parts that no stake
-    joins.  Each part's nonempty subsets are walked by `_best_cut`, and
-    the parts' bests combine: their amounts and arc counts add, and
-    their arc lists merge.  A player with a single part takes its walk's
-    best as it is.  A player whose negative stakes add up to no less
-    than the best amount found so far cannot beat it, and is not walked.
+    joins.  Each part's nonempty subsets are walked by `_best_cut`, which
+    gives the part's least `(paid, arc count, arcs)` among the sets that
+    gain, and the parts' bests combine: their amounts and arc counts
+    add, and their arc lists merge.  A player whose negative stakes add
+    up to no less than the best amount found so far cannot beat it, and
+    is not walked.
 
     When unstable, the witness is the deviation with the largest gain;
     ties go to the lowest player index, then to the fewest removed arcs,
     then lexicographically by arc list.  Each part's best is the least
     of its own such keys, and the merge of the parts' least arc lists is
-    the least merge, so the combined witness is the same.  Raises
+    the least merge, so the combined witness is the same; an earlier
+    player keeps its ties, as the player is part of the key.  Raises
     ValueError, before any search, when the parts' cut sets, 2^|part| − 1
     each, add up to more than MAX_CUT_SETS over all players.
     """
     table = _stake_table(instance, network, rule)
-    total = sum(2 ** len(partners) - 1 for _, parts in table for partners, _ in parts)
+    total = sum(2 ** partners.bit_count() - 1 for _, parts in table for partners, _ in parts)
     if total > MAX_CUT_SETS:
         raise ValueError(
             f"stability search needs {total} cut sets over its partners worth "
@@ -264,10 +257,7 @@ def is_stable(
     for player, (floor, parts) in enumerate(table):
         if best is not None and floor >= best[0]:
             continue  # no set pays less than the best so far
-        # a lone part must beat the best so far, as an earlier player keeps
-        # its ties; of several parts, each counts when it gains on its own
-        limit = -1 if best is None or len(parts) > 1 else best[0] - 1
-        found = [f for f in (_best_cut(network, player, rule, *part, limit) for part in parts) if f]
+        found = [f for f in (_best_cut(network, player, rule, *part) for part in parts) if f]
         if found:
             paid = sum(f[0] for f in found)
             removed = tuple(sorted(a for f in found for a in f[2]))
@@ -310,7 +300,7 @@ def check_disjoint_stability(
         losers = [(m, others, w) for m, others, w in entries[k][1] if w < 0]
         if losers:
             p, others, w = min(losers, key=lambda stake: stake[0])
-            removed = unlinking_arcs(network, p, min(others), rule)
+            removed = unlinking_arcs(network, p, (others & -others).bit_length() - 1, rule)
             return _unstable(network, p, removed, w, denominator)
     return StabilityReport(stable=True, witness=None)
 

@@ -189,6 +189,31 @@ def oracle_gray_walk(coalitions, g, rule: str):
     return False, (Fraction(-paid, scale), p, removed)
 
 
+def oracle_best_cut(g, p: int, rule: str, partners: int, stakes):
+    """The least (paid, arc count, arcs) over the nonempty sets S of the
+    partners in the mask `partners` (bit q for partner q) that pay p a
+    negative amount, or None: S stops every stake (mask of co-members,
+    amount) that it meets, and removes the fewest arcs that unlink each
+    q in S from p, as `oracle_cut_sets` does."""
+
+    def unlinking(q):
+        present = [(i, j) for i, j in sorted([(p, q), (q, p)]) if g[i][j]]
+        return present[:1] if rule == "mutual" else present
+
+    members = [q for q in range(len(g)) if partners >> q & 1]
+    best = None
+    for k in range(1, len(members) + 1):
+        for cut in combinations(members, k):
+            paid = sum(w for held, w in stakes if any(held >> q & 1 for q in cut))
+            if paid >= 0:
+                continue
+            removed = tuple(sorted(a for q in cut for a in unlinking(q)))
+            key = (paid, len(removed), removed)
+            if best is None or key < best:
+                best = key
+    return best
+
+
 def random_adjacency(rng, n: int, p: float):
     return [
         [1 if i != j and rng.random() < p else 0 for j in range(n)]

@@ -207,9 +207,13 @@ def test_int_payments_and_share_sums_match_fraction_arithmetic(rows):
     denominator, entries = inst.payoff_index
     assert denominator == lcm(*(w.denominator for ws in products for w in ws))
     for c, ws, (_, stakes) in zip(coalitions, products, entries):
-        expected = [(m, c.member_set() - {m}, w * denominator) for m, w in zip(c.members, ws) if w]
+        expected = [
+            (m, sum(1 << q for q in c.member_set() - {m}), w * denominator)
+            for m, w in zip(c.members, ws)
+            if w
+        ]
         assert list(stakes) == expected
-        assert all(type(w) is int for _, _, w in stakes)
+        assert all(type(others) is int and type(w) is int for _, others, w in stakes)
     sums = {idx: sum(c.shares.values(), Fraction(0)) for idx, c in enumerate(coalitions)}
     report = validate_instance(inst)
     assert [w for w in report.warnings if "shares sum" in w] == [

@@ -34,6 +34,7 @@ from netform.stability import MAX_CUT_SETS, MAX_PROFILE_PAIRS, _gray_flips, find
 from oracles import (
     coalition_triples,
     matrix_of,
+    oracle_best_cut,
     oracle_best_deviation,
     oracle_cut_sets,
     oracle_form,
@@ -151,6 +152,64 @@ def test_cut_set_limit_is_refused_before_any_search(monkeypatch):
     )
     with pytest.raises(ValueError, match=message):
         is_stable(inst, complete, LINKED)
+
+
+def test_one_part_just_under_the_cut_set_limit_is_searched():
+    # the triples (0, k, k+1) paying only player 0 chain its 20 partners
+    # into one part: 2^20 - 1 cut sets, one under the limit.  Cutting every
+    # other partner from 1 stops all 19 triples with the fewest arcs
+    inst = GameInstance(
+        n=21,
+        coalitions=tuple(CoalitionSpec((0, k, k + 1), -1, {0: 1, k: 0, k + 1: 0}) for k in range(1, 20)),
+    )
+    complete = Network.of(21, [(i, j) for i in range(21) for j in range(21) if i != j])
+    assert 2**20 - 1 <= MAX_CUT_SETS
+    cut = [(0, q) for q in range(1, 20, 2)]
+    for rule, removed in ((MUTUAL, cut), (LINKED, sorted(cut + [(q, 0) for _, q in cut]))):
+        w = is_stable(inst, complete, rule).witness
+        assert (w.player, w.gain, w.removed_arcs) == (0, Fraction(19), tuple(removed))
+
+
+def test_members_outside_the_players_are_never_paid_and_raise_nothing():
+    # an instance that skipped validation, with coalitions {-1, 0} and
+    # {0, n} that no network activates: every engine answers as without them
+    base = random_instance(5, n=6, coalition_count=4, disjoint=True)
+    strays = (CoalitionSpec((-1, 0), -4), CoalitionSpec((0, 6), -4))
+    inst = GameInstance(n=6, coalitions=strays + base.coalitions)
+    rng = random.Random(5)
+    networks = [Network.from_matrix(random_adjacency(rng, 6, 0.7)) for _ in range(8)]
+    for net in networks + [Network.of(6, [(i, j) for i in range(6) for j in range(6) if i != j])]:
+        for rule in ActivationRule:
+            assert payoff_vector(inst, net, rule) == payoff_vector(base, net, rule)
+            assert is_stable(inst, net, rule) == is_stable(base, net, rule)
+            assert check_disjoint_stability(inst, net, rule) == check_disjoint_stability(base, net, rule)
+
+
+@st.composite
+def parts(draw):
+    """A player, a part of 1 to 10 of its partners as a mask, stakes each
+    held by 1 or 2 of them with amounts in -3..3, and 1 or 2 arcs between
+    the player and each partner."""
+    k = draw(st.integers(min_value=1, max_value=10))
+    n = k + 1 + draw(st.integers(min_value=0, max_value=2))
+    player = draw(st.integers(min_value=0, max_value=n - 1))
+    others = [q for q in range(n) if q != player]
+    partners = sorted(draw(st.permutations(others))[:k])
+    holder = st.sampled_from(partners)
+    drawn = st.lists(st.tuples(holder, holder, st.integers(-3, 3)), min_size=1, max_size=12)
+    stakes = [(1 << a | 1 << b, w) for a, b, w in draw(drawn)]
+    arcs = []
+    for q in partners:
+        arcs += draw(st.sampled_from([[(player, q)], [(q, player)], [(player, q), (q, player)]]))
+    return n, player, sum(1 << q for q in partners), stakes, arcs
+
+
+@given(parts(), st.sampled_from(list(ActivationRule)))
+@settings(max_examples=200, deadline=None)
+def test_a_part_walk_finds_the_least_gaining_cut_set(part, rule):
+    n, player, partners, stakes, arcs = part
+    found = stability._best_cut(Network.of(n, arcs), player, rule, partners, stakes)
+    assert found == oracle_best_cut(matrix_of(arcs, n), player, rule.value, partners, stakes)
 
 
 @pytest.mark.parametrize("seed, player, gain", [(1, 20, Fraction(33, 2)), (2, 14, Fraction(43, 3))])
@@ -623,9 +682,9 @@ def test_walks_past_the_first_block_match_the_reference(monkeypatch):
     # first block of 255 sets
     walked = []
 
-    def spy(network, player, rule, partners, stakes, limit):
-        walked.append(len(partners))
-        return best_cut(network, player, rule, partners, stakes, limit)
+    def spy(network, player, rule, partners, stakes):
+        walked.append(partners.bit_count())
+        return best_cut(network, player, rule, partners, stakes)
 
     best_cut = stability._best_cut
     monkeypatch.setattr(stability, "_best_cut", spy)
