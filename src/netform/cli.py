@@ -525,10 +525,14 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # The cyclic collector is paused while the command runs.  A command
     # builds only acyclic data (the parsed JSON tree, records, ints and
-    # Fractions), which reference counting frees; what it leaves for the
-    # collector is a fixed handful of objects: the encoder closures of
-    # `json.dumps(indent=...)` and those of the --jobs pool, the same for
-    # a document of any size.  Left on, the collector would scan every
+    # Fractions), which reference counting frees; the garbage it leaves
+    # for the collector is a fixed handful of objects: the encoder
+    # closures of `json.dumps(indent=...)` and those of the --jobs pool,
+    # the same for a document of any size.  A command on a file also
+    # leaves that file's instance alive in the loader's one slot
+    # (`load_instance_file`), and it grows with the document; it is
+    # acyclic too, so reference counting frees it when another file's
+    # instance takes the slot.  Left on, the collector would scan every
     # list a large document parses into, again and again.
     collecting = gc.isenabled()
     gc.disable()

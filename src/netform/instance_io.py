@@ -321,11 +321,41 @@ def save_instance(instance: GameInstance) -> str:
     return json.dumps(instance_to_document(instance), indent=2) + "\n"
 
 
+def _read_text(path) -> str:
+    """A file's text as `open(path, encoding="utf-8").read()` gives it,
+    errors and their positions included: one binary read and one decode,
+    with "\\r\\n" and a lone "\\r" turned into "\\n" only when the file
+    holds a carriage return."""
+    with open(path, "rb") as file:
+        data = file.read()
+    text = data.decode("utf-8")
+    if b"\r" in data:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+_last: tuple[str, GameInstance] | None = None  # the last text loaded from a file, and its instance
+
+
 def load_instance_file(path, strict: bool = False) -> GameInstance:
-    """`load_instance` on the text of a file."""
-    with open(path, encoding="utf-8") as file:
-        text = file.read()
-    return load_instance(text, strict)
+    """`load_instance` on the text of a file, read on every call.
+
+    The loader keeps one slot: the last text it built an instance from,
+    and that instance.  A text equal to the slot's gets the slot's
+    instance back, which `validated_warnings` checks again, so a command
+    still warns, or refuses under `strict`, every time.  An instance is
+    immutable, so its payoff index and findings carry over with it.  Any
+    other text is parsed and built afresh and takes the slot; a text that
+    is refused leaves the slot as it was."""
+    global _last
+    text = _read_text(path)
+    last = _last  # one read: another thread may replace the slot meanwhile
+    if last is not None and last[0] == text:
+        validated_warnings(last[1], strict)
+        return last[1]
+    instance = load_instance(text, strict)
+    _last = (text, instance)
+    return instance
 
 
 def load_network_file(path) -> Network:
@@ -333,6 +363,4 @@ def load_network_file(path) -> Network:
     document's profile matrices are; bad JSON raises DocumentError
     starting "network file is not valid JSON: ", and a matrix
     `Network.from_matrix` refuses raises its ValueError."""
-    with open(path, encoding="utf-8") as file:
-        text = file.read()
-    return Network.from_matrix(_bit_cells(_parse_json(text, "network file is ")))
+    return Network.from_matrix(_bit_cells(_parse_json(_read_text(path), "network file is ")))

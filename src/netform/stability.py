@@ -1,8 +1,10 @@
 """Stability of a network against unilateral link breaking.
 
-The only deviation a player has is to remove a nonempty subset of the
-arcs they touch; adding arcs needs the other side's consent and is not a
-unilateral move.  A network is stable when no such removal strictly
+The engine judges break deviations only: a player removes a nonempty
+subset of the arcs they touch.  It does not judge a player adding an arc
+whose other side already consents (an offer the other side accepts, or
+an acceptance of the other side's offer), though such a move is
+unilateral too.  A network is stable here when no removal strictly
 raises the deviating player's payoff.
 
 Activation is read only from the pair graph (`payoffs.pair_graph`), so a

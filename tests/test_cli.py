@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netform
-from netform import cli, model
+from netform import cli, instance_io, model
 from netform.cli import build_parser, main
 from netform.formation import OfferProfile
 from netform.instance_io import save_instance
@@ -35,6 +35,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def empty_slot(monkeypatch):
+    """The file loader's slot emptied now and by each call of the returned
+    function, so the next file load builds its instance afresh."""
+
+    def empty():
+        monkeypatch.setattr(instance_io, "_last", None)
+
+    empty()
+    return empty
 
 
 def test_form_prints_reference_network(capsys):
@@ -306,13 +318,15 @@ def test_payoff_commands_refuse_a_huge_common_denominator(capsys, tmp_path):
     assert err == "error: coalition payments need a common denominator of more than 1024 bits\n"
 
 
-def test_payoff_commands_refuse_an_oversized_payoff_index(capsys, tmp_path, monkeypatch):
-    # the worked example's twelve pair masks hold 152 bits in all
+def test_payoff_commands_refuse_an_oversized_payoff_index(capsys, tmp_path, monkeypatch, empty_slot):
+    # the worked example's twelve pair masks hold 152 bits in all; an
+    # instance keeps the index it built, so each limit meets a fresh one
     path = tmp_path / "worked.json"
     path.write_text(save_instance(worked_example()))
     monkeypatch.setattr(model, "MAX_INDEX_BITS", 152)
     assert run(capsys, "payoffs", str(path))[0] == 0
     monkeypatch.setattr(model, "MAX_INDEX_BITS", 151)
+    empty_slot()
     message = "error: coalition pair masks need 152 bits, more than the limit of 151\n"
     for command in (
         ["payoffs"],
@@ -327,6 +341,7 @@ def test_payoff_commands_refuse_an_oversized_payoff_index(capsys, tmp_path, monk
     assert run(capsys, "form", str(path))[0] == 0
     # one pair {1, 2} on two players: its mask reaches bit 1
     monkeypatch.setattr(model, "MAX_INDEX_BITS", 1)
+    empty_slot()
     pair = {"members": [1, 2], "income": "1"}
     path.write_text(json.dumps({"schema": "game-instance/1", "players": 2, "coalitions": [pair]}))
     linked = tmp_path / "linked.json"
@@ -589,7 +604,7 @@ def _counted_findings(monkeypatch) -> list:
 
 
 @validation_outcomes
-def test_a_loaded_file_is_validated_once(capsys, monkeypatch, tmp_path, flags, code, err):
+def test_a_loaded_file_is_validated_once(capsys, monkeypatch, tmp_path, empty_slot, flags, code, err):
     # the loader refuses an invalid instance and the command prints the
     # warnings: both read the one set of findings
     path = tmp_path / "inst.json"
@@ -611,7 +626,7 @@ def test_a_builtin_instance_is_validated_once(capsys, monkeypatch, flags, code, 
     assert len(computed) == 1 and computed[0] is fresh
 
 
-def test_an_instance_finds_its_faults_once(capsys, monkeypatch, tmp_path):
+def test_an_instance_finds_its_faults_once(capsys, monkeypatch, tmp_path, empty_slot):
     from netform.instance_io import load_instance, load_instance_file, validated_warnings
 
     computed = _counted_findings(monkeypatch)
@@ -772,7 +787,7 @@ def test_no_parser_default_is_mutable():
             hash(value)
 
 
-def test_no_document_is_kept_between_calls(capsys, tmp_path):
+def test_a_rewritten_file_is_read_again(capsys, tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(save_instance(worked_example()))
     first = run(capsys, "payoffs", str(path), "--format", "json")
@@ -782,6 +797,53 @@ def test_no_document_is_kept_between_calls(capsys, tmp_path):
     second = run(capsys, "payoffs", str(path), "--format", "json")
     assert first[0] == second[0] == 0
     assert first[1] != second[1]
+
+
+def test_a_same_size_rewrite_is_read_again(capsys, tmp_path, empty_slot):
+    # the loader compares whole texts, not sizes or modification times
+    linked = [[0, 1], [1, 0]]
+    doc = {"schema": "game-instance/1", "players": 2,
+           "coalitions": [{"members": [1, 2], "income": "1"}],
+           "profiles": [{"offers": linked, "acceptances": linked}]}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    before = path.stat()
+    first = run(capsys, "payoffs", str(path), "--format", "csv")
+    doc["coalitions"][0]["income"] = "2"
+    path.write_text(json.dumps(doc))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+    second = run(capsys, "payoffs", str(path), "--format", "csv")
+    assert first == (0, "profile,p1,p2\n1,1/2,1/2\n", "")
+    assert second == (0, "profile,p1,p2\n1,1,1\n", "")
+
+
+def test_a_refused_file_leaves_the_kept_instance(capsys, tmp_path, empty_slot):
+    good = tmp_path / "good.json"
+    good.write_text(save_instance(worked_example()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema": "game-instance/1", "players": 2,
+                               "coalitions": [{"members": [1, 1], "income": "1"}]}))
+    first = run(capsys, "payoffs", str(good))
+    kept = instance_io._last
+    refused = run(capsys, "payoffs", str(bad))
+    assert refused[:2] == (2, "") and refused[2].startswith("error: coalition 1")
+    assert instance_io._last is kept
+    assert run(capsys, "payoffs", str(good)) == first
+    assert instance_io._last is kept and kept[1] == worked_example()
+
+
+def test_a_kept_instance_warns_or_is_refused_every_time(capsys, tmp_path, empty_slot):
+    path = tmp_path / "inst.json"
+    path.write_text(save_instance(worked_example()))
+    message = "coalition 7 (1,4,2): shares sum to 5/4, not 1"
+    lenient = run(capsys, "payoffs", str(path))
+    kept = instance_io._last
+    assert lenient[::2] == (0, f"warning: {message}\n")
+    for _ in range(2):
+        assert run(capsys, "payoffs", str(path), "--strict") == (2, "", f"error: {message}\n")
+        assert run(capsys, "payoffs", str(path)) == lenient
+    assert instance_io._last is kept
 
 
 @pytest.mark.parametrize(
@@ -904,12 +966,15 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, code, usa
 
 def _cyclic_garbage(argv) -> int:
     """Objects the collector finds unreachable after one run of argv, run
-    with the collector paused; a first run fills the process's caches."""
+    with the collector paused; a first run fills the process's caches.
+    Each run starts from an empty file-loader slot, so it parses its
+    file, and the instance the slot held is freed within the count."""
     was = gc.isenabled()
     gc.disable()
     try:
         for _ in range(2):
             gc.collect()
+            instance_io._last = None
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 assert main(argv) == 0
         return gc.collect()

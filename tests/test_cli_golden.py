@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from netform import ActivationRule, form_network, load_instance, payoff_vector
+from netform import ActivationRule, form_network, instance_io, load_instance, payoff_vector
 from netform.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -64,6 +64,20 @@ def inputs(tmp_path_factory) -> Path:
 def test_cli_output_is_unchanged(case, inputs):
     got = run_cli(case["argv"], inputs)
     assert got == {k: case[k] for k in ("code", "stdout", "stderr")}
+
+
+@pytest.mark.parametrize("case", _CASES, ids=[" ".join(c["argv"]) for c in _CASES])
+def test_a_repeated_case_prints_the_same(case, inputs, monkeypatch):
+    # the first run builds its file's instance afresh, the second reuses
+    # the one the file loader kept
+    monkeypatch.setattr(instance_io, "_last", None)
+    expected = {k: case[k] for k in ("code", "stdout", "stderr")}
+    assert run_cli(case["argv"], inputs) == expected
+    kept = instance_io._last
+    if case["code"] != 2 and case["argv"][1].startswith("{dir}"):
+        assert kept is not None
+    assert run_cli(case["argv"], inputs) == expected
+    assert instance_io._last is kept
 
 
 # ---- rewriting the data file

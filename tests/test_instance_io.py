@@ -30,6 +30,7 @@ from netform.formation import Network, OfferProfile
 from netform.instance_io import (
     instance_to_document,
     load_instance_file,
+    load_network_file,
     parse_fraction,
     validated_warnings,
 )
@@ -77,6 +78,96 @@ def test_file_round_trip(tmp_path):
     instance = load_instance_file(path)
     assert instance == worked_example()
     assert validated_warnings(instance, False) == ("coalition 7 (1,4,2): shares sum to 5/4, not 1",)
+
+
+def _text_mode(path) -> str:
+    """A file's text read in text mode, as the loaders once read it."""
+    with open(path, encoding="utf-8") as file:
+        return file.read()
+
+
+def _result(call, *args):
+    try:
+        return ("ok", call(*args))
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+_WORKED = save_instance(worked_example()).encode()
+_DOUBLE_COMMA = _WORKED.replace(b'"players": 5,', b'"players": 5,,')
+
+
+@pytest.mark.parametrize(
+    "load, data, outcome",
+    [
+        # a JSON error is placed by the text with its line ends turned into "\n"
+        (load_instance_file, _DOUBLE_COMMA.replace(b"\n", b"\r\n"), (
+            DocumentError, "not valid JSON: Expecting property name enclosed in double "
+            "quotes: line 3 column 16 (char 48)")),
+        (load_instance_file, _DOUBLE_COMMA.replace(b"\n", b"\r"), (
+            DocumentError, "not valid JSON: Expecting property name enclosed in double "
+            "quotes: line 3 column 16 (char 48)")),
+        (load_instance_file, _WORKED.replace(b"\n", b"\r"), ("ok", worked_example())),
+        # a byte order mark is kept, and JSON refuses it
+        (load_instance_file, b"\xef\xbb\xbf" + _WORKED, (
+            DocumentError, "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)")),
+        # invalid UTF-8 is placed in the whole file, past the first 8 KiB too
+        (load_instance_file, b'{"schema": "game-instance/1", "note": "' + b"x" * 9000 + b'\xff"}', (
+            UnicodeDecodeError, "'utf-8' codec can't decode byte 0xff in position 9039: "
+            "invalid start byte")),
+        (load_network_file, b"[[0, 1],\r\n [1, 0],\r\n]", (
+            DocumentError, "network file is not valid JSON: Expecting value: line 3 column 1 (char 18)")),
+        (load_network_file, b"[[0,\r1],\r[1,\r0]]", ("ok", Network.from_matrix([[0, 1], [1, 0]]))),
+        (load_network_file, b"\xef\xbb\xbf[[0, 1], [1, 0]]", (
+            DocumentError, "network file is not valid JSON: Unexpected UTF-8 BOM (decode using "
+            "utf-8-sig): line 1 column 1 (char 0)")),
+        (load_network_file, b"[[0, 1], [1, 0]]" + b" " * 9000 + b"\xc3(", (
+            UnicodeDecodeError, "'utf-8' codec can't decode byte 0xc3 in position 9016: "
+            "invalid continuation byte")),
+    ],
+    ids=["crlf-error", "cr-error", "cr", "bom", "utf8-past-8k",
+         "network-crlf-error", "network-cr", "network-bom", "network-utf8-past-8k"],
+)
+def test_a_file_reads_as_a_text_mode_read_gives_it(tmp_path, load, data, outcome):
+    path = tmp_path / "file.json"
+    path.write_bytes(data)
+    assert _result(instance_io._read_text, path) == _result(_text_mode, path)
+    assert _result(load, path) == outcome
+
+
+@given(chunks=st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"a", b" " * 4096, b"\xe2\x82\xac",
+                                        b"\xe2", b"\xff", b"\xef\xbb\xbf"]), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_the_file_reader_matches_a_text_mode_read(tmp_path_factory, chunks):
+    # line ends, multi-byte characters and decoding errors, across the
+    # 8 KiB a text-mode read decodes at a time
+    path = tmp_path_factory.mktemp("read") / "file"
+    path.write_bytes(b"".join(chunks))
+    assert _result(instance_io._read_text, path) == _result(_text_mode, path)
+
+
+def test_one_text_at_two_paths_is_one_instance(tmp_path, monkeypatch):
+    # the file loader keeps the last text it built and its instance; a
+    # refused text between two loads leaves them
+    monkeypatch.setattr(instance_io, "_last", None)
+    text = save_instance(worked_example())
+    first, second, bad = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "bad.json"
+    first.write_text(text)
+    second.write_text(text)
+    bad.write_text(text.replace('"players": 5', '"players": 0'))
+    kept = load_instance_file(first)
+    assert load_instance_file(second) is kept
+    with pytest.raises(DocumentError):
+        load_instance_file(bad)
+    assert load_instance_file(first) is kept
+    # under strict, the kept instance is refused, and stays kept
+    with pytest.raises(DocumentError, match="shares sum to 5/4"):
+        load_instance_file(second, strict=True)
+    assert load_instance_file(second) is kept
+    # a text parsed from memory is always built afresh
+    assert load_instance(text) is not load_instance(text)
+    assert load_instance(text) == kept
 
 
 def test_document_shape():
