@@ -28,6 +28,7 @@ _HOMES = {
     "is_stable": "stability",
     "load_instance": "instance_io",
     "payoff_vector": "payoffs",
+    "payoff_vectors": "payoffs",
     "random_instance": "datasets",
     "regret_vectors": "compromise",
     "restricted_equilibria": "stability",

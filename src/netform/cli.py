@@ -21,7 +21,7 @@ from .datasets import BUILTIN, random_instance
 from .formation import form_network
 from .instance_io import load_instance_file, load_network_file, save_instance, validated_warnings
 from .model import ActivationRule, GameInstance
-from .payoffs import payoff_vector
+from .payoffs import payoff_vectors
 
 # `netform.stability` is imported by the commands that search, `json` and
 # `csv` by the formats that print them: the other commands never load them
@@ -101,6 +101,11 @@ def _stored(instance: GameInstance, which: int | None = None) -> range:
     return range(count) if which is None else range(which - 1, which)
 
 
+def _networks(instance: GameInstance) -> list:
+    """The network of every stored profile, in order."""
+    return [form_network(instance.profiles[k]) for k in _stored(instance)]
+
+
 # ---- form
 
 
@@ -137,15 +142,15 @@ def cmd_form(args) -> int:
 
 
 def _profile_worker(engine, instance, rule, index):
-    """One engine call (payoff_vector or is_stable) on a stored profile's network."""
+    """One engine call (is_stable) on a stored profile's network."""
     return engine(instance, form_network(instance.profiles[index]), rule)
 
 
 def _map_profiles(engine, instance: GameInstance, rule, jobs: int) -> list:
-    """The engine's result for every stored profile, in order, from at
-    most `jobs` processes, and never more processes than profiles or
-    CPUs.  Each process gets one chunk of profiles, so the instance is
-    pickled once per process, not once per profile."""
+    """The engine's (is_stable's) result for every stored profile, in
+    order, from at most `jobs` processes, and never more processes than
+    profiles or CPUs.  Each process gets one chunk of profiles, so the
+    instance is pickled once per process, not once per profile."""
     worker = functools.partial(_profile_worker, engine, instance, rule)
     indices = _stored(instance)
     workers = min(jobs, len(indices), os.cpu_count() or 1)
@@ -175,7 +180,7 @@ def _payoffs_text(record: dict, grid: list[list[str]]) -> str:
 def cmd_payoffs(args) -> int:
     instance = _load(args.instance, args.strict)
     rule = _rule(instance, args)
-    vectors = _map_profiles(payoff_vector, instance, rule, args.jobs)
+    vectors = payoff_vectors(instance, _networks(instance), rule)
     record = {
         "rule": rule.value,
         "payoffs": [[str(v) for v in vec] for vec in vectors],
@@ -292,8 +297,7 @@ def cmd_compromise(args) -> int:
             raise ValueError("instance carries no reference payoff table")
         rows = instance.payoff_matrix
     else:
-        profiles = instance.profiles
-        rows = [payoff_vector(instance, form_network(profiles[k]), rule) for k in _stored(instance)]
+        rows = payoff_vectors(instance, _networks(instance), rule)
     matrix = PayoffMatrix(rows)
     report = compromise_solution(matrix, refine_ties=args.refine_ties)
     shown = (
@@ -411,7 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
             type=_job_count,
             default=1,
             metavar="N",
-            help="run payoffs and equilibria --mode full in N processes (output is identical)",
+            help=(
+                "run equilibria --mode full in N processes (output is identical); "
+                "the other commands accept it and run in one process"
+            ),
         )
 
     p_form = sub.add_parser("form", help="form networks from stored profiles")

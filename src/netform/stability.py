@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .formation import Arc, Network, common_ends, form_network, remove_arcs
 from .model import ActivationRule, CoalitionSpec, GameInstance
-from .payoffs import _active, _totals, unlinking_arcs
+from .payoffs import _active, _table, unlinking_arcs
 from .record import record
 
 # Largest number of cut sets `is_stable` will try: 2^|part| − 1 per part
@@ -340,10 +340,11 @@ def restricted_equilibria(
     arcs and `t & s == t`, and the removed arcs all touch p for each p
     of their `formation.common_ends`, at most the two ends of the lowest
     one.  Each mask's arc count is taken once.
-    Payoffs are compared as ints over the index's denominator L; a
-    reported gain becomes a `Fraction` over L.  Raises ValueError, before
-    forming any network, when there are more than MAX_PROFILE_PAIRS
-    ordered pairs of profiles.
+    Payoffs are paid in one `payoffs._table` over every stored network
+    and compared as ints over the index's denominator L; a reported gain
+    becomes a `Fraction` over L.  Raises ValueError, before forming any
+    network, when there are more than MAX_PROFILE_PAIRS ordered pairs of
+    profiles.
     """
     pairs = len(instance.profiles) * (len(instance.profiles) - 1)
     if pairs > MAX_PROFILE_PAIRS:
@@ -353,7 +354,7 @@ def restricted_equilibria(
         )
     denominator, _ = instance.payoff_index
     networks = [form_network(p) for p in instance.profiles]
-    payoffs = [_totals(instance, g, rule) for g in networks]
+    payoffs = _table(instance, networks, rule)
     masks = [g.mask for g in networks]
     sizes = [g.bit_count() for g in masks]
     found: list[ReachableDeviation] = []

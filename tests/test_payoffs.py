@@ -18,11 +18,12 @@ from netform import (
     form_network,
     is_stable,
     payoff_vector,
+    payoff_vectors,
     restricted_equilibria,
     worked_example,
 )
 from netform.formation import OfferProfile
-from netform.payoffs import active_coalitions, pair_graph, unlinking_arcs
+from netform.payoffs import _active, _table, _totals, active_coalitions, pair_graph, unlinking_arcs
 
 from oracles import coalition_triples, oracle_payoffs, random_adjacency
 
@@ -128,6 +129,7 @@ def test_a_network_of_the_wrong_size_is_refused(n):
     message = f"network on {n} players, instance has 5"
     for call in (
         lambda: payoff_vector(inst, Network.of(n, arcs), LINKED),
+        lambda: payoff_vectors(inst, [Network.of(5, arcs), Network.of(n, arcs)], LINKED),
         lambda: is_stable(inst, Network.of(n, arcs), LINKED),
         lambda: check_disjoint_stability(inst, Network.of(n, arcs), LINKED),
         lambda: restricted_equilibria(mismatched, LINKED),
@@ -226,3 +228,87 @@ def test_int_weight_payoffs_equal_oracle(pair):
         paid = {m for c in active_coalitions(inst, net, rule) for m in c.members}
         for p in set(range(inst.n)) - paid:
             assert vec[p] == Fraction(0) and type(vec[p]) is Fraction
+
+
+@st.composite
+def network_batches(draw):
+    """An instance on 2-8 players with 2- and 3-member coalitions, uneven
+    shares (0 included) and fractional incomes, and 0-12 networks on it."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    member_sets = draw(
+        st.lists(
+            st.sets(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=min(3, n)),
+            max_size=10,
+            unique_by=frozenset,
+        )
+    )
+    coalitions = []
+    for members in map(sorted, member_sets):
+        size = len(members)
+        raw = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=size, max_size=size))
+        scale = sum(raw) or 1
+        income = Fraction(
+            draw(st.integers(min_value=-24, max_value=24)), draw(st.integers(min_value=1, max_value=6))
+        )
+        shares = {m: Fraction(r, scale) for m, r in zip(members, raw)}
+        coalitions.append(CoalitionSpec(tuple(members), income, shares))
+    batch = draw(st.lists(networks(n), max_size=12))
+    return GameInstance(n=n, coalitions=tuple(coalitions)), batch
+
+
+@given(network_batches(), st.sampled_from([MUTUAL, LINKED]))
+@settings(max_examples=200)
+def test_a_table_pays_each_network_as_the_one_network_form_does(batch, rule):
+    inst, nets = batch
+    assert _table(inst, nets, rule) == [_totals(inst, g, rule) for g in nets]
+    vectors = payoff_vectors(inst, nets, rule)
+    assert vectors == [payoff_vector(inst, g, rule) for g in nets]
+    triples = coalition_triples(inst)
+    for vec, g in zip(vectors, nets):
+        assert list(vec) == oracle_payoffs(triples, [list(r) for r in g.matrix()], rule.value)
+        assert all(type(v) is Fraction for v in vec)
+
+
+def test_a_table_of_no_networks_is_empty():
+    for rule in (MUTUAL, LINKED):
+        assert _table(worked_example(), [], rule) == []
+        assert payoff_vectors(worked_example(), iter(()), rule) == []
+
+
+def test_a_table_refuses_a_network_on_the_wrong_number_of_players_as_one_network_does():
+    inst = worked_example()
+    good, bad = Network.of(5, [(0, 1)]), Network.of(4, [(0, 1)])
+    with pytest.raises(ValueError) as one:
+        _active(inst, bad, LINKED)
+    for networks in ([bad], [good, bad, good]):
+        with pytest.raises(ValueError) as table:
+            payoff_vectors(inst, networks, LINKED)
+        assert str(table.value) == str(one.value) == "network on 4 players, instance has 5"
+
+
+def test_a_coalition_no_network_links_is_never_active_in_a_table():
+    # unvalidated: a repeated member and an out-of-range one both make the
+    # pair bit n*n, which no column holds, even on the complete network
+    inst = GameInstance(n=3, coalitions=(
+        CoalitionSpec((0, 0, 1), 3),
+        CoalitionSpec((1, 5), 4),
+        CoalitionSpec((1, 2), 2),
+    ))
+    complete = [[int(i != j) for j in range(3)] for i in range(3)]
+    nets = [Network.from_matrix(complete), Network.of(3, [])]
+    for rule in (MUTUAL, LINKED):
+        assert _table(inst, nets, rule) == [[0, 1, 1], [0, 0, 0]]
+        assert _table(inst, nets, rule) == [_totals(inst, g, rule) for g in nets]
+
+
+def test_a_table_over_more_networks_than_the_int_digit_limit():
+    # each column is an int with one bit per network, parsed in base 2,
+    # which the interpreter's limit on decimal digits does not cover
+    rng = random.Random(5)
+    inst = GameInstance(n=3, coalitions=(
+        CoalitionSpec((0, 1, 2), Fraction(7, 2)),
+        CoalitionSpec((0, 2), -1),
+    ))
+    nets = [Network.from_matrix(random_adjacency(rng, 3, 0.5)) for _ in range(4400)]
+    for rule in (MUTUAL, LINKED):
+        assert payoff_vectors(inst, nets, rule) == [payoff_vector(inst, g, rule) for g in nets]
