@@ -21,7 +21,7 @@ from .datasets import BUILTIN, random_instance
 from .formation import form_network
 from .instance_io import load_instance_file, load_network_file, save_instance, validated_warnings
 from .model import ActivationRule, GameInstance
-from .payoffs import payoff_vectors
+from .payoffs import stored_payoffs
 
 # `netform.stability` is imported by the commands that search, `json` and
 # `csv` by the formats that print them: the other commands never load them
@@ -101,9 +101,15 @@ def _stored(instance: GameInstance, which: int | None = None) -> range:
     return range(count) if which is None else range(which - 1, which)
 
 
-def _networks(instance: GameInstance) -> list:
-    """The network of every stored profile, in order."""
-    return [form_network(instance.profiles[k]) for k in _stored(instance)]
+def _formed(instance: GameInstance, which: int | None = None) -> list:
+    """`(index, network)` of the profiles `_stored` selects: every one
+    from the instance's `networks`, formed once per instance, and the
+    profile `which` formed on its own, so a command on one profile never
+    forms the others."""
+    indices = _stored(instance, which)
+    if which is None:
+        return list(zip(indices, instance.networks))
+    return [(k, form_network(instance.profiles[k])) for k in indices]
 
 
 # ---- form
@@ -130,8 +136,7 @@ def cmd_form(args) -> int:
                 "matrix": [list(row) for row in net.matrix()],
                 "arcs": _arcs_1based(net.arcs),
             }
-            for k in _stored(instance, args.profile)
-            for net in [form_network(instance.profiles[k])]
+            for k, net in _formed(instance, args.profile)
         ]
     }
     _emit(args.format, record, _form_grid, _form_text)
@@ -142,7 +147,8 @@ def cmd_form(args) -> int:
 
 
 def _profile_worker(engine, instance, rule, index):
-    """One engine call (is_stable) on a stored profile's network."""
+    """One engine call (is_stable) on a stored profile's network, formed
+    in the worker process."""
     return engine(instance, form_network(instance.profiles[index]), rule)
 
 
@@ -150,8 +156,8 @@ def _map_profiles(engine, instance: GameInstance, rule, jobs: int) -> list:
     """The engine's (is_stable's) result for every stored profile, in
     order, from at most `jobs` processes, and never more processes than
     profiles or CPUs.  Each process gets one chunk of profiles, so the
-    instance is pickled once per process, not once per profile."""
-    worker = functools.partial(_profile_worker, engine, instance, rule)
+    instance is pickled once per process, not once per profile.  In one
+    process, the engine runs on the instance's `networks`."""
     indices = _stored(instance)
     workers = min(jobs, len(indices), os.cpu_count() or 1)
     if workers > 1:
@@ -159,10 +165,11 @@ def _map_profiles(engine, instance: GameInstance, rule, jobs: int) -> list:
         # other command would pay for at start-up
         from concurrent.futures import ProcessPoolExecutor
 
+        worker = functools.partial(_profile_worker, engine, instance, rule)
         chunk = math.ceil(len(indices) / workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, indices, chunksize=chunk))
-    return [worker(k) for k in indices]
+    return [engine(instance, network, rule) for network in instance.networks]
 
 
 def _payoffs_text(record: dict, grid: list[list[str]]) -> str:
@@ -180,7 +187,8 @@ def _payoffs_text(record: dict, grid: list[list[str]]) -> str:
 def cmd_payoffs(args) -> int:
     instance = _load(args.instance, args.strict)
     rule = _rule(instance, args)
-    vectors = payoff_vectors(instance, _networks(instance), rule)
+    _stored(instance)  # refuses an instance without stored profiles
+    vectors = stored_payoffs(instance, rule)
     record = {
         "rule": rule.value,
         "payoffs": [[str(v) for v in vec] for vec in vectors],
@@ -297,7 +305,8 @@ def cmd_compromise(args) -> int:
             raise ValueError("instance carries no reference payoff table")
         rows = instance.payoff_matrix
     else:
-        rows = payoff_vectors(instance, _networks(instance), rule)
+        _stored(instance)
+        rows = stored_payoffs(instance, rule)
     matrix = PayoffMatrix(rows)
     report = compromise_solution(matrix, refine_ties=args.refine_ties)
     shown = (
@@ -341,8 +350,7 @@ def cmd_check_disjoint(args) -> int:
     if args.network is not None:
         net = load_network_file(args.network)
     else:
-        [k] = _stored(instance, args.profile)
-        net = form_network(instance.profiles[k])
+        [(_, net)] = _formed(instance, args.profile)
     report = check_disjoint_stability(instance, net, rule)
     record = {"rule": rule.value, **_verdict(report)}
     _emit(args.format, record, None, _disjoint_text)
@@ -536,11 +544,12 @@ def main(argv=None) -> int:
     # for the collector is a fixed handful of objects: the encoder
     # closures of `json.dumps(indent=...)` and those of the --jobs pool,
     # the same for a document of any size.  A command on a file also
-    # leaves that file's instance alive in the loader's one slot
+    # leaves that file's instance, with the networks and tables it
+    # cached, alive as one of the loader's last two texts
     # (`load_instance_file`), and it grows with the document; it is
-    # acyclic too, so reference counting frees it when another file's
-    # instance takes the slot.  Left on, the collector would scan every
-    # list a large document parses into, again and again.
+    # acyclic too, so reference counting frees it when two newer texts
+    # push it out.  Left on, the collector would scan every list a large
+    # document parses into, again and again.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -334,27 +334,35 @@ def _read_text(path) -> str:
     return text
 
 
-_last: tuple[str, GameInstance] | None = None  # the last text loaded from a file, and its instance
+# the last two distinct texts loaded from files, most recent first, each
+# with its instance: two, so that commands alternating between two files
+# parse neither again, while at most two documents are kept alive
+_kept: tuple[tuple[str, GameInstance], ...] = ()
 
 
 def load_instance_file(path, strict: bool = False) -> GameInstance:
     """`load_instance` on the text of a file, read on every call.
 
-    The loader keeps one slot: the last text it built an instance from,
-    and that instance.  A text equal to the slot's gets the slot's
-    instance back, which `validated_warnings` checks again, so a command
-    still warns, or refuses under `strict`, every time.  An instance is
-    immutable, so its payoff index and findings carry over with it.  Any
-    other text is parsed and built afresh and takes the slot; a text that
-    is refused leaves the slot as it was."""
-    global _last
+    The loader keeps the last two distinct texts it built an instance
+    from, with those instances, most recent first.  A text equal to a
+    kept one gets that instance back, which `validated_warnings` checks
+    again, so a command still warns, or refuses under `strict`, every
+    time; once checked, its entry moves to the front.  An instance is
+    immutable, so its payoff index, findings, networks and payoff tables
+    carry over with it.  Any other text is parsed and built afresh and
+    goes in front, pushing out the least recent entry; a text that is
+    refused leaves both entries as they were."""
+    global _kept
     text = _read_text(path)
-    last = _last  # one read: another thread may replace the slot meanwhile
-    if last is not None and last[0] == text:
-        validated_warnings(last[1], strict)
-        return last[1]
+    kept = _kept  # one read: another thread may replace it meanwhile
+    for entry in kept:
+        if entry[0] == text:
+            validated_warnings(entry[1], strict)
+            if entry is not kept[0]:
+                _kept = (entry, kept[0])
+            return entry[1]
     instance = load_instance(text, strict)
-    _last = (text, instance)
+    _kept = ((text, instance), *kept[:1])
     return instance
 
 

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from .compromise import common_denominator
-from .formation import OfferProfile
+from .formation import Network, OfferProfile, form_network
 from .record import record
 
 # Most players an instance may have: every command builds something per
@@ -106,9 +106,11 @@ class GameInstance:
     The coalitions are kept as a tuple, whatever sequence is given, and
     a coalition never changes once built.  So the first payoff or
     stability check on an instance compiles its coalitions into
-    `payoff_index`, and the first `validate_instance` call, in either
-    mode, stores its faults in `findings`.  Later calls reuse both, and
-    neither can go stale.
+    `payoff_index`, the first `validate_instance` call, in either mode,
+    stores its faults in `findings`, the first command that reads every
+    stored profile forms them into `networks`, and the first one that
+    pays them all under a rule keeps that rule's `linked_table` or
+    `mutual_table`.  Later calls reuse them all, and none can go stale.
     """
 
     n: int
@@ -234,6 +236,29 @@ class GameInstance:
                     message = f"payoff table row {r + 1}: {len(row)} entries for {n} players"
                     found.append(("error", message))
         return tuple(found)
+
+    @cached_property
+    def networks(self) -> tuple[Network, ...]:
+        """The network `form_network` forms from each stored profile, in
+        order, formed on first use."""
+        return tuple(map(form_network, self.profiles))
+
+    @cached_property
+    def linked_table(self) -> tuple[tuple[int, ...], ...]:
+        """`payoffs._table` of `networks` under LINKED, built on first use:
+        each stored profile's payoffs as ints over `payoff_index`'s L."""
+        return _stored_table(self, ActivationRule.LINKED)
+
+    @cached_property
+    def mutual_table(self) -> tuple[tuple[int, ...], ...]:
+        """`linked_table` under MUTUAL."""
+        return _stored_table(self, ActivationRule.MUTUAL)
+
+
+def _stored_table(instance: GameInstance, rule: ActivationRule) -> tuple[tuple[int, ...], ...]:
+    from .payoffs import _table  # payoffs imports this module
+
+    return tuple(map(tuple, _table(instance, instance.networks, rule)))
 
 
 @record

@@ -26,6 +26,10 @@ and it pays only those.  On 200 networks of 40 players and 300 coalitions
 that takes about a third of the time of 200 mask tests; on one network
 it takes many times longer, so the call shape, one network or a list,
 picks the form.  Both read the index: they only AND masks and add ints.
+The stored profiles' table under a rule is built once per instance
+(`GameInstance.linked_table` and `mutual_table`, over its `networks`),
+so every command that pays them in one process reads the same one
+(`stored_payoffs`); `payoff_vectors` pays any list afresh.
 A payoff stays an int numerator over L (`_totals`) through every sum,
 difference and comparison, which is exact because L > 0; only a value
 that leaves the engine becomes a `Fraction`, built once per distinct
@@ -141,10 +145,26 @@ def _table(instance: GameInstance, networks, rule: ActivationRule) -> list[list[
     return rows
 
 
-def payoff_vectors(instance: GameInstance, networks, rule: ActivationRule) -> list[PayoffVector]:
-    """`payoff_vector` of each network, in order, from one `_table`: each
-    distinct value of the whole table becomes a `Fraction` once."""
-    table = _table(instance, networks, rule)
+def _vectors(instance: GameInstance, table) -> list[PayoffVector]:
+    """A table's rows as payoff vectors: each distinct value of the whole
+    table becomes a `Fraction` once."""
     denominator, _ = instance.payoff_index
     exact = _fractions(denominator, chain.from_iterable(table)).__getitem__
     return [tuple(map(exact, row)) for row in table]
+
+
+def payoff_vectors(instance: GameInstance, networks, rule: ActivationRule) -> list[PayoffVector]:
+    """`payoff_vector` of each network, in order, from one `_table`."""
+    return _vectors(instance, _table(instance, networks, rule))
+
+
+def stored_table(instance: GameInstance, rule: ActivationRule) -> tuple[tuple[int, ...], ...]:
+    """`_table` of the instance's `networks` under rule, built once per
+    instance and rule."""
+    return instance.mutual_table if rule is ActivationRule.MUTUAL else instance.linked_table
+
+
+def stored_payoffs(instance: GameInstance, rule: ActivationRule) -> list[PayoffVector]:
+    """`payoff_vectors(instance, instance.networks, rule)`, from the
+    instance's `stored_table`."""
+    return _vectors(instance, stored_table(instance, rule))

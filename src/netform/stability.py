@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .formation import Arc, Network, common_ends, form_network, remove_arcs
+from .formation import Arc, Network, common_ends, remove_arcs
 from .model import ActivationRule, CoalitionSpec, GameInstance
-from .payoffs import _active, _table, unlinking_arcs
+from .payoffs import _active, stored_table, unlinking_arcs
 from .record import record
 
 # Largest number of cut sets `is_stable` will try: 2^|part| − 1 per part
@@ -340,11 +340,12 @@ def restricted_equilibria(
     arcs and `t & s == t`, and the removed arcs all touch p for each p
     of their `formation.common_ends`, at most the two ends of the lowest
     one.  Each mask's arc count is taken once.
-    Payoffs are paid in one `payoffs._table` over every stored network
-    and compared as ints over the index's denominator L; a reported gain
-    becomes a `Fraction` over L.  Raises ValueError, before forming any
-    network, when there are more than MAX_PROFILE_PAIRS ordered pairs of
-    profiles.
+    The networks are the instance's `networks` and the payoffs its
+    `payoffs.stored_table`, each built once per instance, compared as
+    ints over the index's denominator L; a reported gain becomes a
+    `Fraction` over L.  Raises ValueError, before forming any network or
+    paying any profile, when there are more than MAX_PROFILE_PAIRS
+    ordered pairs of profiles.
     """
     pairs = len(instance.profiles) * (len(instance.profiles) - 1)
     if pairs > MAX_PROFILE_PAIRS:
@@ -353,9 +354,8 @@ def restricted_equilibria(
             f"limit of {MAX_PROFILE_PAIRS}"
         )
     denominator, _ = instance.payoff_index
-    networks = [form_network(p) for p in instance.profiles]
-    payoffs = _table(instance, networks, rule)
-    masks = [g.mask for g in networks]
+    payoffs = stored_table(instance, rule)
+    masks = [g.mask for g in instance.networks]
     sizes = [g.bit_count() for g in masks]
     found: list[ReachableDeviation] = []
     for s, gs in enumerate(masks):
@@ -368,5 +368,5 @@ def restricted_equilibria(
                 if gain > 0:
                     found.append(ReachableDeviation(s, t, player, Fraction(gain, denominator)))
     losers = {d.source for d in found}
-    equilibria = tuple(s for s in range(len(networks)) if s not in losers)
+    equilibria = tuple(s for s in range(len(masks)) if s not in losers)
     return RestrictedEquilibriaReport(equilibria, tuple(found))

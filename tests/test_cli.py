@@ -38,12 +38,13 @@ def run(capsys, *argv):
 
 
 @pytest.fixture
-def empty_slot(monkeypatch):
-    """The file loader's slot emptied now and by each call of the returned
-    function, so the next file load builds its instance afresh."""
+def empty_loader(monkeypatch):
+    """The file loader's kept instances dropped now and by each call of
+    the returned function, so the next file load builds its instance
+    afresh."""
 
     def empty():
-        monkeypatch.setattr(instance_io, "_last", None)
+        monkeypatch.setattr(instance_io, "_kept", ())
 
     empty()
     return empty
@@ -323,7 +324,7 @@ def test_payoff_commands_refuse_a_huge_common_denominator(capsys, tmp_path):
     assert err == "error: coalition payments need a common denominator of more than 1024 bits\n"
 
 
-def test_payoff_commands_refuse_an_oversized_payoff_index(capsys, tmp_path, monkeypatch, empty_slot):
+def test_payoff_commands_refuse_an_oversized_payoff_index(capsys, tmp_path, monkeypatch, empty_loader):
     # the worked example's twelve pair masks hold 152 bits in all; an
     # instance keeps the index it built, so each limit meets a fresh one
     path = tmp_path / "worked.json"
@@ -331,7 +332,7 @@ def test_payoff_commands_refuse_an_oversized_payoff_index(capsys, tmp_path, monk
     monkeypatch.setattr(model, "MAX_INDEX_BITS", 152)
     assert run(capsys, "payoffs", str(path))[0] == 0
     monkeypatch.setattr(model, "MAX_INDEX_BITS", 151)
-    empty_slot()
+    empty_loader()
     message = "error: coalition pair masks need 152 bits, more than the limit of 151\n"
     for command in (
         ["payoffs"],
@@ -346,7 +347,7 @@ def test_payoff_commands_refuse_an_oversized_payoff_index(capsys, tmp_path, monk
     assert run(capsys, "form", str(path))[0] == 0
     # one pair {1, 2} on two players: its mask reaches bit 1
     monkeypatch.setattr(model, "MAX_INDEX_BITS", 1)
-    empty_slot()
+    empty_loader()
     pair = {"members": [1, 2], "income": "1"}
     path.write_text(json.dumps({"schema": "game-instance/1", "players": 2, "coalitions": [pair]}))
     linked = tmp_path / "linked.json"
@@ -609,7 +610,7 @@ def _counted_findings(monkeypatch) -> list:
 
 
 @validation_outcomes
-def test_a_loaded_file_is_validated_once(capsys, monkeypatch, tmp_path, empty_slot, flags, code, err):
+def test_a_loaded_file_is_validated_once(capsys, monkeypatch, tmp_path, empty_loader, flags, code, err):
     # the loader refuses an invalid instance and the command prints the
     # warnings: both read the one set of findings
     path = tmp_path / "inst.json"
@@ -631,7 +632,7 @@ def test_a_builtin_instance_is_validated_once(capsys, monkeypatch, flags, code, 
     assert len(computed) == 1 and computed[0] is fresh
 
 
-def test_an_instance_finds_its_faults_once(capsys, monkeypatch, tmp_path, empty_slot):
+def test_an_instance_finds_its_faults_once(capsys, monkeypatch, tmp_path, empty_loader):
     from netform.instance_io import load_instance, load_instance_file, validated_warnings
 
     computed = _counted_findings(monkeypatch)
@@ -804,7 +805,7 @@ def test_a_rewritten_file_is_read_again(capsys, tmp_path):
     assert first[1] != second[1]
 
 
-def test_a_same_size_rewrite_is_read_again(capsys, tmp_path, empty_slot):
+def test_a_same_size_rewrite_is_read_again(capsys, tmp_path, empty_loader):
     # the loader compares whole texts, not sizes or modification times
     linked = [[0, 1], [1, 0]]
     doc = {"schema": "game-instance/1", "players": 2,
@@ -823,32 +824,32 @@ def test_a_same_size_rewrite_is_read_again(capsys, tmp_path, empty_slot):
     assert second == (0, "profile,p1,p2\n1,1,1\n", "")
 
 
-def test_a_refused_file_leaves_the_kept_instance(capsys, tmp_path, empty_slot):
+def test_a_refused_file_leaves_the_kept_instance(capsys, tmp_path, empty_loader):
     good = tmp_path / "good.json"
     good.write_text(save_instance(worked_example()))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "game-instance/1", "players": 2,
                                "coalitions": [{"members": [1, 1], "income": "1"}]}))
     first = run(capsys, "payoffs", str(good))
-    kept = instance_io._last
+    kept = instance_io._kept
     refused = run(capsys, "payoffs", str(bad))
     assert refused[:2] == (2, "") and refused[2].startswith("error: coalition 1")
-    assert instance_io._last is kept
+    assert instance_io._kept is kept
     assert run(capsys, "payoffs", str(good)) == first
-    assert instance_io._last is kept and kept[1] == worked_example()
+    assert instance_io._kept is kept and kept[0][1] == worked_example()
 
 
-def test_a_kept_instance_warns_or_is_refused_every_time(capsys, tmp_path, empty_slot):
+def test_a_kept_instance_warns_or_is_refused_every_time(capsys, tmp_path, empty_loader):
     path = tmp_path / "inst.json"
     path.write_text(save_instance(worked_example()))
     message = "coalition 7 (1,4,2): shares sum to 5/4, not 1"
     lenient = run(capsys, "payoffs", str(path))
-    kept = instance_io._last
+    kept = instance_io._kept
     assert lenient[::2] == (0, f"warning: {message}\n")
     for _ in range(2):
         assert run(capsys, "payoffs", str(path), "--strict") == (2, "", f"error: {message}\n")
         assert run(capsys, "payoffs", str(path)) == lenient
-    assert instance_io._last is kept
+    assert instance_io._kept is kept
 
 
 @pytest.mark.parametrize(
@@ -972,14 +973,14 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, code, usa
 def _cyclic_garbage(argv) -> int:
     """Objects the collector finds unreachable after one run of argv, run
     with the collector paused; a first run fills the process's caches.
-    Each run starts from an empty file-loader slot, so it parses its
-    file, and the instance the slot held is freed within the count."""
+    Each run starts with the file loader keeping nothing, so it parses
+    its file, and the instance it kept is freed within the count."""
     was = gc.isenabled()
     gc.disable()
     try:
         for _ in range(2):
             gc.collect()
-            instance_io._last = None
+            instance_io._kept = ()
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 assert main(argv) == 0
         return gc.collect()

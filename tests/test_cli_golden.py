@@ -70,14 +70,14 @@ def test_cli_output_is_unchanged(case, inputs):
 def test_a_repeated_case_prints_the_same(case, inputs, monkeypatch):
     # the first run builds its file's instance afresh, the second reuses
     # the one the file loader kept
-    monkeypatch.setattr(instance_io, "_last", None)
+    monkeypatch.setattr(instance_io, "_kept", ())
     expected = {k: case[k] for k in ("code", "stdout", "stderr")}
     assert run_cli(case["argv"], inputs) == expected
-    kept = instance_io._last
+    kept = instance_io._kept
     if case["code"] != 2 and case["argv"][1].startswith("{dir}"):
-        assert kept is not None
+        assert kept != ()
     assert run_cli(case["argv"], inputs) == expected
-    assert instance_io._last is kept
+    assert instance_io._kept is kept
 
 
 # ---- rewriting the data file

@@ -148,9 +148,9 @@ def test_the_file_reader_matches_a_text_mode_read(tmp_path_factory, chunks):
 
 
 def test_one_text_at_two_paths_is_one_instance(tmp_path, monkeypatch):
-    # the file loader keeps the last text it built and its instance; a
-    # refused text between two loads leaves them
-    monkeypatch.setattr(instance_io, "_last", None)
+    # the file loader keeps the last texts it built and their instances;
+    # a refused text between two loads leaves them
+    monkeypatch.setattr(instance_io, "_kept", ())
     text = save_instance(worked_example())
     first, second, bad = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "bad.json"
     first.write_text(text)
@@ -168,6 +168,82 @@ def test_one_text_at_two_paths_is_one_instance(tmp_path, monkeypatch):
     # a text parsed from memory is always built afresh
     assert load_instance(text) is not load_instance(text)
     assert load_instance(text) == kept
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The player count of each document the file loader builds an
+    instance from, starting from a loader that keeps nothing."""
+    monkeypatch.setattr(instance_io, "_kept", ())
+    build = instance_io.instance_from_document
+    built = []
+
+    def counting(doc):
+        built.append(doc["players"])
+        return build(doc)
+
+    monkeypatch.setattr(instance_io, "instance_from_document", counting)
+    return built
+
+
+def _documents(tmp_path, *players):
+    """One file per player count, each a valid random instance on it."""
+    paths = []
+    for n in players:
+        path = tmp_path / f"players{n}.json"
+        path.write_text(save_instance(random_instance(seed=n, n=n, coalition_count=1)))
+        paths.append(path)
+    return paths
+
+
+def test_two_alternating_texts_are_each_built_once(tmp_path, builds):
+    a, b = _documents(tmp_path, 3, 4)
+    first = [load_instance_file(path) for path in (a, b)]
+    for _ in range(3):
+        for path, instance in zip((a, b), first):
+            assert load_instance_file(path) is instance
+    assert builds == [3, 4]
+    assert [text for text, _ in instance_io._kept] == [b.read_text(), a.read_text()]
+
+
+def test_a_third_text_pushes_out_the_least_recent(tmp_path, builds):
+    a, b, c = _documents(tmp_path, 3, 4, 5)
+    kept = load_instance_file(a)
+    load_instance_file(b)
+    assert load_instance_file(a) is kept  # a hit moves a to the front
+    load_instance_file(c)  # so c pushes out b
+    assert load_instance_file(a) is kept
+    assert builds == [3, 4, 5]
+    load_instance_file(b)
+    assert builds == [3, 4, 5, 4]
+    assert [inst.n for _, inst in instance_io._kept] == [4, 3]
+
+
+def test_a_refused_text_leaves_both_kept_instances(tmp_path, builds):
+    a, b = _documents(tmp_path, 3, 4)
+    bad = tmp_path / "bad.json"
+    bad.write_text(a.read_text().replace('"players": 3', '"players": 1025'))
+    instances = [load_instance_file(path) for path in (a, b)]
+    kept = instance_io._kept
+    with pytest.raises(DocumentError):
+        load_instance_file(bad)
+    assert instance_io._kept is kept
+    for path, instance in zip((b, a), instances[::-1]):
+        assert load_instance_file(path) is instance
+    assert builds == [3, 4, 1025]
+
+
+def test_a_rewritten_file_is_built_again_and_its_old_text_is_kept(tmp_path, builds):
+    a, b = _documents(tmp_path, 3, 4)
+    path = tmp_path / "doc.json"
+    path.write_text(a.read_text())
+    old = load_instance_file(path)
+    path.write_text(b.read_text())
+    new = load_instance_file(path)
+    assert new.n == 4 and builds == [3, 4]
+    path.write_text(a.read_text())
+    assert load_instance_file(path) is old
+    assert builds == [3, 4]
 
 
 def test_document_shape():

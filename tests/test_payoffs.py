@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -23,7 +24,16 @@ from netform import (
     worked_example,
 )
 from netform.formation import OfferProfile
-from netform.payoffs import _active, _table, _totals, active_coalitions, pair_graph, unlinking_arcs
+from netform.payoffs import (
+    _active,
+    _table,
+    _totals,
+    active_coalitions,
+    pair_graph,
+    stored_payoffs,
+    stored_table,
+    unlinking_arcs,
+)
 
 from oracles import coalition_triples, oracle_payoffs, random_adjacency
 
@@ -267,6 +277,47 @@ def test_a_table_pays_each_network_as_the_one_network_form_does(batch, rule):
     for vec, g in zip(vectors, nets):
         assert list(vec) == oracle_payoffs(triples, [list(r) for r in g.matrix()], rule.value)
         assert all(type(v) is Fraction for v in vec)
+
+
+@st.composite
+def stored_batches(draw):
+    """`network_batches`' instance with 0-12 stored profiles: each offers
+    what a drawn network holds and accepts what another one holds."""
+    inst, offers = draw(network_batches())
+    profiles = tuple(
+        OfferProfile(g.matrix(), draw(networks(inst.n)).matrix()) for g in offers
+    )
+    return GameInstance(inst.n, inst.coalitions, profiles)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except TypeError as exc:  # an instance with coalitions is unhashable, as their shares are
+        return str(exc)
+
+
+@given(stored_batches(), st.sampled_from([(LINKED, MUTUAL), (MUTUAL, LINKED)]))
+@settings(max_examples=200)
+def test_stored_tables_pay_the_stored_networks_as_a_fresh_table_does(inst, rules):
+    bare = GameInstance(inst.n, inst.coalitions, inst.profiles)
+    fresh = [form_network(p) for p in inst.profiles]
+    assert inst.networks == tuple(fresh)
+    triples = coalition_triples(inst)
+    for rule in rules:  # both orders: a table kept under one rule is not read under the other
+        table = _table(inst, fresh, rule)
+        assert stored_table(inst, rule) == tuple(map(tuple, table))
+        vectors = stored_payoffs(inst, rule)
+        assert vectors == payoff_vectors(inst, fresh, rule)
+        for vec, g in zip(vectors, fresh):
+            assert list(vec) == oracle_payoffs(triples, [list(r) for r in g.matrix()], rule.value)
+            assert all(type(v) is Fraction for v in vec)
+    # the caches are no part of an instance's value
+    assert {"networks", "linked_table", "mutual_table"} <= vars(inst).keys()
+    assert inst == bare and _outcome(hash, inst) == _outcome(hash, bare)
+    copy = pickle.loads(pickle.dumps(inst))
+    assert copy == bare and vars(copy) == vars(inst)
+    assert pickle.loads(pickle.dumps(bare)) == copy
 
 
 def test_a_table_of_no_networks_is_empty():

@@ -38,7 +38,11 @@ MOVE_TEXT = "ReachableDeviation(source=0, target=1, player=1, gain=Fraction(2, 1
 WITNESS = "stable report cannot carry a witness"
 # a read-only view of a dict (`CoalitionSpec.shares`) is unhashable, as the dict is
 UNHASHABLE = {CoalitionSpec, GameInstance}
-CACHED = {GameInstance: ["payoff_index", "findings"], Network: ["arcs"], PayoffMatrix: ["_scaled"]}
+CACHED = {
+    GameInstance: ["payoff_index", "findings", "networks", "linked_table", "mutual_table"],
+    Network: ["arcs"],
+    PayoffMatrix: ["_scaled"],
+}
 
 # class, field names, the arguments (defaulted fields left out), the
 # repr, and argument tuples that `__post_init__` refuses with a message

@@ -224,7 +224,7 @@ def test_complete_40_player_networks_get_a_verdict(seed, player, gain):
     assert payoff_vector(inst, w.resulting_network, LINKED)[player] - before == gain
 
 
-def test_profile_pair_limit_is_refused_before_any_network_is_formed(monkeypatch):
+def test_profile_pair_limit_is_refused_before_any_network_is_formed():
     # 362 profiles give 130,682 ordered pairs and 363 give 131,406: the
     # limit sits between them
     empty = OfferProfile([[0, 0], [0, 0]], [[0, 0], [0, 0]])
@@ -233,10 +233,12 @@ def test_profile_pair_limit_is_refused_before_any_network_is_formed(monkeypatch)
     report = restricted_equilibria(GameInstance(n=2, coalitions=pair, profiles=(empty,) * 362), LINKED)
     assert report.equilibria == tuple(range(362)) and report.deviations == ()
     over = GameInstance(n=2, coalitions=pair, profiles=(empty,) * 363)
-    monkeypatch.setattr(stability, "form_network", None)  # forming would raise TypeError
     message = f"compares 131406 profile pairs, more than the limit of {MAX_PROFILE_PAIRS}$"
     with pytest.raises(ValueError, match=message):
         restricted_equilibria(over, LINKED)
+    # the instance forms its networks and pays them on first use: neither happened
+    built = {"networks", "linked_table", "mutual_table", "payoff_index"}
+    assert not built & vars(over).keys()
 
 
 def test_cut_set_search_memory_stays_flat():
