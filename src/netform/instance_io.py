@@ -13,6 +13,8 @@ into its int (`_number`), so no cell leaves this module.
 
 from __future__ import annotations
 
+import codecs
+import os
 import re
 import sys
 from fractions import Fraction
@@ -327,11 +329,50 @@ def _read_text(path) -> str:
     with "\\r\\n" and a lone "\\r" turned into "\\n" only when the file
     holds a carriage return."""
     with open(path, "rb") as file:
-        data = file.read()
+        return _text_of(file)
+
+
+def _text_of(file) -> str:
+    """`_read_text` on the rest of an open binary file; its bytes are
+    dropped on return."""
+    data = file.read()
     text = data.decode("utf-8")
     if b"\r" in data:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+_CHUNK = 1 << 20  # bytes `_holds` reads at a time: at least 4, since up to 3 are carried
+
+
+def _holds(file, text: str) -> bool | None:
+    """Whether the rest of an open binary file, read as `_read_text`
+    reads it, is `text`, found without a copy of the file: it is read
+    into one reused buffer of `_CHUNK` bytes, or 4 more than the text's
+    length when that is less, so a small file leaves no large block in
+    the process.  Each chunk is decoded as UTF-8 in place, with the
+    bytes of a character it splits carried to the next, and compared
+    with `text` where it should occur.  None when only a whole read can
+    settle it: a chunk holds "\\r", which the whole read turns into
+    "\\n", or the file is not UTF-8, whose error the whole read places."""
+    buffer = bytearray(min(_CHUNK, len(text) + 4))
+    view = memoryview(buffer)
+    carried = offset = 0
+    while size := file.readinto(view[carried:]):
+        end = carried + size
+        if buffer.find(b"\r", carried, end) >= 0:
+            return None
+        try:
+            part, used = codecs.utf_8_decode(view[:end], "strict", False)
+        except UnicodeDecodeError:
+            return None
+        if not text.startswith(part, offset):
+            return False
+        offset += len(part)
+        del part  # before the next chunk's is decoded
+        carried = end - used
+        buffer[:carried] = buffer[used:end]
+    return None if carried else offset == len(text)
 
 
 # the last two distinct texts loaded from files, most recent first, each
@@ -340,21 +381,47 @@ def _read_text(path) -> str:
 _kept: tuple[tuple[str, GameInstance], ...] = ()
 
 
+def _held_entry(file, kept):
+    """The kept entry whose text an open binary file holds, found by
+    `_holds` without a copy of the file, or None, with the file back at
+    its start.  Only a seekable file is compared, and an ASCII text only
+    with a file of its length, so a miss on a regular file is read once."""
+    if not kept or not file.seekable():
+        return None
+    size = os.fstat(file.fileno()).st_size
+    for entry in kept:
+        if entry[0].isascii() and len(entry[0]) != size:
+            continue
+        held = _holds(file, entry[0])
+        if held:
+            return entry
+        file.seek(0)
+        if held is None:
+            break
+    return None
+
+
 def load_instance_file(path, strict: bool = False) -> GameInstance:
     """`load_instance` on the text of a file, read on every call.
 
     The loader keeps the last two distinct texts it built an instance
-    from, with those instances, most recent first.  A text equal to a
-    kept one gets that instance back, which `validated_warnings` checks
+    from, with those instances, most recent first.  A file holding a
+    kept text gets that instance back, which `validated_warnings` checks
     again, so a command still warns, or refuses under `strict`, every
     time; once checked, its entry moves to the front.  An instance is
     immutable, so its payoff index, findings, networks and payoff tables
-    carry over with it.  Any other text is parsed and built afresh and
-    goes in front, pushing out the least recent entry; a text that is
-    refused leaves both entries as they were."""
+    carry over with it.  A seekable file is compared with the kept texts
+    in place, chunk by chunk, with no copy of the file; a pipe, a file
+    holding "\\r" and one that is not UTF-8 are read whole, decoded and
+    compared as text, so a CRLF copy of a kept text is a hit too.  Any
+    other text is parsed and built afresh and goes in front, pushing out
+    the least recent entry; a text that is refused leaves both entries
+    as they were."""
     global _kept
-    text = _read_text(path)
     kept = _kept  # one read: another thread may replace it meanwhile
+    with open(path, "rb") as file:
+        held = _held_entry(file, kept)
+        text = held[0] if held else _text_of(file)
     for entry in kept:
         if entry[0] == text:
             validated_warnings(entry[1], strict)

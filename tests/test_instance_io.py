@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import re
 import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -136,8 +140,12 @@ def test_a_file_reads_as_a_text_mode_read_gives_it(tmp_path, load, data, outcome
     assert _result(load, path) == outcome
 
 
-@given(chunks=st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"a", b" " * 4096, b"\xe2\x82\xac",
-                                        b"\xe2", b"\xff", b"\xef\xbb\xbf"]), max_size=8))
+# line ends, multi-byte characters and decoding errors
+_PIECES = st.sampled_from([b"\r", b"\n", b"\r\n", b"a", b" " * 4096, b"\xe2\x82\xac",
+                           b"\xe2", b"\xff", b"\xef\xbb\xbf"])
+
+
+@given(chunks=st.lists(_PIECES, max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_the_file_reader_matches_a_text_mode_read(tmp_path_factory, chunks):
     # line ends, multi-byte characters and decoding errors, across the
@@ -244,6 +252,181 @@ def test_a_rewritten_file_is_built_again_and_its_old_text_is_kept(tmp_path, buil
     path.write_text(a.read_text())
     assert load_instance_file(path) is old
     assert builds == [3, 4]
+
+
+def _noted(note: str) -> str:
+    """A valid 3-player document whose text holds `note` in a field the
+    loader ignores."""
+    text = save_instance(random_instance(seed=3, n=3, coalition_count=1))
+    return text.replace("{", '{"note": "' + note + '",', 1)
+
+
+def _split_note(char: str) -> str:
+    """`_noted` with `char` two bytes before the end of a 7-byte chunk,
+    so a chunk ends inside its UTF-8 bytes."""
+    start = len(_noted("").encode().partition(b'"note": "')[0]) + len('"note": "')
+    text = _noted("x" * ((5 - start) % 7) + char + " and \u00e9")
+    assert text.encode().index(char.encode()) % 7 == 5
+    return text
+
+
+def _refuse(*args):
+    raise AssertionError("called")
+
+
+@pytest.fixture
+def chunk7(monkeypatch):
+    """`_holds` reads 7 bytes at a time, so a document spans many chunks."""
+    monkeypatch.setattr(instance_io, "_CHUNK", 7)
+
+
+def test_a_file_holding_a_kept_text_is_a_hit_found_in_place(tmp_path, builds, chunk7, monkeypatch):
+    kept_path, path = tmp_path / "kept.json", tmp_path / "doc.json"
+    for text in (_noted("\u20ac\u00e9"), _noted("plain")):
+        kept_path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
+        kept = load_instance_file(kept_path)
+        with open(path, "rb") as file:
+            assert instance_io._holds(file, text) is True
+        with monkeypatch.context() as patched:
+            patched.setattr(instance_io, "_text_of", _refuse)  # no whole read
+            assert load_instance_file(path) is kept
+    assert builds == [3, 3]
+
+
+@pytest.mark.parametrize(
+    "kept_text, text",
+    [
+        (_noted("\u20ac"), _noted("\u20ac")[:-1] + " "),
+        (_noted("\u20ac"), _noted("\u20ac")[:-1]),
+        (_noted("\u20ac"), _noted("\u20ac") + " "),
+        (_split_note("\u20ac"), _split_note("\u20ad")),
+        (_noted("plain"), _noted("plain")[:-1] + " "),
+    ],
+    ids=["last-byte", "prefix", "extension", "split-character", "ascii-last-byte"],
+)
+def test_a_file_that_differs_from_the_kept_text_is_built_afresh(tmp_path, builds, chunk7, kept_text, text):
+    kept_path, path = tmp_path / "kept.json", tmp_path / "doc.json"
+    kept_path.write_text(kept_text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
+    kept = load_instance_file(kept_path)
+    with open(path, "rb") as file:
+        assert instance_io._holds(file, kept_text) is False
+    built = load_instance_file(path)  # an equal instance: only whitespace or the note differs
+    assert built is not kept and built == kept
+    assert builds == [3, 3]
+    assert [entry[0] for entry in instance_io._kept] == [text, kept_text]
+
+
+@pytest.mark.parametrize("note", ["\u20ac", "plain"])
+def test_a_crlf_copy_of_a_kept_text_is_a_hit_through_a_whole_read(tmp_path, builds, chunk7, note):
+    kept_path, path = tmp_path / "kept.json", tmp_path / "doc.json"
+    kept_path.write_text(_noted(note), encoding="utf-8")
+    path.write_bytes(kept_path.read_bytes().replace(b"\n", b"\r\n"))
+    kept = load_instance_file(kept_path)
+    with open(path, "rb") as file:
+        assert instance_io._holds(file, _noted(note)) is None
+    assert load_instance_file(path) is kept
+    assert builds == [3]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda data: data[:-3] + b"\xff" + data[-2:],
+        lambda data: data[:data.index("\u20ac".encode()) + 2],
+    ],
+    ids=["invalid-byte", "cut-character"],
+)
+def test_a_file_that_is_not_utf8_past_the_kept_text_raises_as_before(tmp_path, builds, chunk7, damage):
+    kept_path, path = tmp_path / "kept.json", tmp_path / "doc.json"
+    kept_path.write_text(_split_note("\u20ac"), encoding="utf-8")
+    path.write_bytes(damage(kept_path.read_bytes()))
+    load_instance_file(kept_path)
+    kept = instance_io._kept
+    with open(path, "rb") as file:
+        assert instance_io._holds(file, _split_note("\u20ac")) is None
+    outcome = _result(load_instance_file, path)
+    assert outcome[0] is UnicodeDecodeError and outcome == _result(_text_mode, path)
+    assert instance_io._kept is kept and builds == [3]
+
+
+@given(chunks=st.lists(_PIECES, max_size=8), edit=st.lists(_PIECES, max_size=2),
+       cut=st.integers(0, 8), drop=st.integers(0, 2), size=st.sampled_from([4, 5, 7, 4096]))
+@settings(max_examples=150, deadline=None)
+def test_holds_agrees_with_a_whole_read_whenever_it_answers(tmp_path_factory, chunks, edit, cut, drop, size):
+    # the text is the file's own, or the file's with pieces dropped or
+    # put in after `cut` pieces; a chunk of `size` bytes, at least 4
+    path = tmp_path_factory.mktemp("holds") / "file"
+    path.write_bytes(b"".join(chunks))
+    source = b"".join(chunks[:cut] + edit + chunks[cut + drop:])
+    text = source.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
+    with mock.patch.object(instance_io, "_CHUNK", size), open(path, "rb") as file:
+        held = instance_io._holds(file, text)
+    whole = _result(instance_io._read_text, path)
+    if held is not None:
+        assert held == (whole == ("ok", text))
+    if whole[0] == "ok" and b"\r" not in path.read_bytes():  # nothing for a whole read to settle
+        assert held is not None
+
+
+def _through_fifo(tmp_path, data: bytes):
+    """`load_instance_file` on a FIFO that a writer thread feeds `data`."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as end:
+            end.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return load_instance_file(fifo)
+    finally:
+        writer.join(timeout=10)
+        fifo.unlink()
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_fifo_loads_as_its_file_does_and_is_a_hit_on_a_kept_text(tmp_path, builds, chunk7, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text(_noted("\u20ac"), encoding="utf-8")
+    expected = load_instance(path.read_text(encoding="utf-8"))
+    piped = _through_fifo(tmp_path, path.read_bytes())
+    assert piped == expected
+    assert load_instance_file(path) is piped
+    monkeypatch.setattr(instance_io, "_holds", _refuse)  # a pipe is read whole
+    assert _through_fifo(tmp_path, path.read_bytes()) is piped
+    assert builds == [3, 3]  # the expected instance and the pipe's
+
+
+def test_a_miss_on_a_file_of_no_kept_ascii_texts_size_is_not_compared(tmp_path, builds, monkeypatch):
+    a, b, c = _documents(tmp_path, 3, 4, 5)
+    assert len({path.stat().st_size for path in (a, b, c)}) == 3
+    for path in (a, b):
+        load_instance_file(path)
+    monkeypatch.setattr(instance_io, "_holds", _refuse)
+    assert load_instance_file(c).n == 5
+    assert builds == [3, 4, 5]
+
+
+@pytest.mark.parametrize("size", [64 << 10, 4 << 20], ids=["64KiB", "4MiB"])
+def test_a_hit_allocates_no_copy_of_the_file(tmp_path, monkeypatch, size):
+    # nor, on a file smaller than a chunk, a whole chunk
+    monkeypatch.setattr(instance_io, "_kept", ())
+    path = tmp_path / "doc.json"
+    path.write_text(_noted("x" * size), encoding="utf-8")
+    kept = load_instance_file(path)
+    tracemalloc.start()
+    try:
+        assert load_instance_file(path) is kept
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size >= size
+    assert peak < 3 * min(instance_io._CHUNK, size)
 
 
 def test_document_shape():
