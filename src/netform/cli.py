@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import math
-import os
 import sys
 
 from .compromise import PayoffMatrix, compromise_solution
@@ -146,32 +144,6 @@ def cmd_form(args) -> int:
 # ---- payoffs
 
 
-def _profile_worker(engine, instance, rule, index):
-    """One engine call (is_stable) on a stored profile's network, formed
-    in the worker process."""
-    return engine(instance, form_network(instance.profiles[index]), rule)
-
-
-def _map_profiles(engine, instance: GameInstance, rule, jobs: int) -> list:
-    """The engine's (is_stable's) result for every stored profile, in
-    order, from at most `jobs` processes, and never more processes than
-    profiles or CPUs.  Each process gets one chunk of profiles, so the
-    instance is pickled once per process, not once per profile.  In one
-    process, the engine runs on the instance's `networks`."""
-    indices = _stored(instance)
-    workers = min(jobs, len(indices), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: the pool pulls in multiprocessing, which every
-        # other command would pay for at start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        worker = functools.partial(_profile_worker, engine, instance, rule)
-        chunk = math.ceil(len(indices) / workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, indices, chunksize=chunk))
-    return [engine(instance, network, rule) for network in instance.networks]
-
-
 def _payoffs_text(record: dict, grid: list[list[str]]) -> str:
     lines = [f"rule: {record['rule']}", _table(grid)]
     if record["reference_mismatches"]:
@@ -273,7 +245,7 @@ def cmd_equilibria(args) -> int:
         }
         _emit(args.format, record, _restricted_grid, _restricted_text)
     else:
-        reports = _map_profiles(is_stable, instance, rule, args.jobs)
+        reports = [is_stable(instance, net, rule) for _, net in _formed(instance)]
         failed = any(not r.stable for r in reports)
         items = [{"profile": k + 1, **_verdict(rep)} for k, rep in enumerate(reports)]
         record = {"mode": "full", "rule": rule.value, "profiles": items}
@@ -423,10 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=_job_count,
             default=1,
             metavar="N",
-            help=(
-                "run equilibria --mode full in N processes (output is identical); "
-                "the other commands accept it and run in one process"
-            ),
+            help="accepted (N >= 1) and ignored: every command runs in one process",
         )
 
     p_form = sub.add_parser("form", help="form networks from stored profiles")
@@ -541,15 +510,14 @@ def main(argv=None) -> int:
     # The cyclic collector is paused while the command runs.  A command
     # builds only acyclic data (the parsed JSON tree, records, ints and
     # Fractions), which reference counting frees; the garbage it leaves
-    # for the collector is a fixed handful of objects: the encoder
-    # closures of `json.dumps(indent=...)` and those of the --jobs pool,
-    # the same for a document of any size.  A command on a file also
-    # leaves that file's instance, with the networks and tables it
-    # cached, alive as one of the loader's last two texts
-    # (`load_instance_file`), and it grows with the document; it is
-    # acyclic too, so reference counting frees it when two newer texts
-    # push it out.  Left on, the collector would scan every list a large
-    # document parses into, again and again.
+    # for the collector is a fixed handful of objects, the encoder
+    # closures of `json.dumps(indent=...)`, the same for a document of
+    # any size.  A command on a file also leaves that file's instance,
+    # with the networks and tables it cached, alive as one of the
+    # loader's last two texts (`load_instance_file`), and it grows with
+    # the document; it is acyclic too, so reference counting frees it
+    # when two newer texts push it out.  Left on, the collector would
+    # scan every list a large document parses into, again and again.
     collecting = gc.isenabled()
     gc.disable()
     try:

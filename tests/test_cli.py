@@ -113,27 +113,6 @@ def test_payoffs_json_is_deterministic_and_jobs_invariant(capsys):
     } in payload["reference_mismatches"]
 
 
-@pytest.mark.parametrize("command", [["payoffs"], ["equilibria", "--mode", "full"]])
-def test_jobs_pickles_the_instance_once_per_process(capsys, monkeypatch, command):
-    # the worked example has 10 profiles: two chunks of five, one per
-    # process; payoffs accepts --jobs but pays every profile in one
-    # table in this process, so it pickles nothing
-    pooled = command[0] == "equilibria"
-    pickled = []
-    reduce_ex = netform.GameInstance.__reduce_ex__
-
-    def counting(self, protocol):
-        pickled.append(self)
-        return reduce_ex(self, protocol)
-
-    monkeypatch.setattr(netform.GameInstance, "__reduce_ex__", counting)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool is capped at the CPU count
-    code, parallel, _ = run(capsys, *command, "worked-example", "--jobs", "2")
-    assert len(worked_example().profiles) >= 8
-    assert 1 <= len(pickled) <= 2 if pooled else pickled == []
-    assert (code, parallel) == run(capsys, *command, "worked-example")[:2]
-
-
 @pytest.mark.parametrize("jobs", ["0", "-5"])
 def test_jobs_below_one_is_a_usage_error(capsys, jobs):
     with pytest.raises(SystemExit) as exit_:
@@ -142,42 +121,49 @@ def test_jobs_below_one_is_a_usage_error(capsys, jobs):
     assert f"--jobs: must be at least 1, got {int(jobs)}" in capsys.readouterr().err
 
 
-class SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps
-    in this process, so no worker is ever started."""
+class NoPool:
+    """Stands in for ProcessPoolExecutor and fails if it is ever built."""
 
-    started: list[int] = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a command started a process pool")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2", "64"])
 @pytest.mark.parametrize(
-    "jobs, cpus, workers",
-    [("3", 8, 3), ("64", 4, 4), ("500", 64, 10), ("2", None, None), ("1", 8, None)],
+    "command",
+    [["payoffs"], ["equilibria", "--mode", "restricted"], ["equilibria", "--mode", "full"]],
+    ids=" ".join,
 )
-@pytest.mark.parametrize("command", [["payoffs"], ["equilibria", "--mode", "full"]])
-def test_jobs_starts_at_most_profiles_and_cpus_workers(capsys, monkeypatch, command, jobs, cpus, workers):
-    # the worked example has 10 profiles; os.cpu_count() may be None, read
-    # as 1; payoffs accepts --jobs and starts no pool at all
+def test_jobs_is_accepted_and_every_command_runs_in_one_process(capsys, monkeypatch, command, jobs):
+    # eight CPUs and ten profiles would have room for workers: none starts
     import concurrent.futures
 
-    pooled = command[0] == "equilibria"
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(SerialPool, "started", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     code, out, _ = run(capsys, *command, "worked-example", "--jobs", jobs)
-    assert SerialPool.started == ([workers] if pooled and workers else [])
     assert (code, out) == run(capsys, *command, "worked-example")[:2]
+
+
+REFUSED_FLAGS = [
+    (["form", "worked-example", "--rule", "linked"], "unrecognized arguments: --rule"),
+    (["form", "worked-example", "--jobs", "2"], "unrecognized arguments: --jobs"),
+    (["compromise", "worked-example", "--jobs", "2"], "unrecognized arguments: --jobs"),
+    (["check-disjoint", "worked-example", "--profile", "1", "--jobs", "2"], "unrecognized arguments: --jobs"),
+    (["check-disjoint", "worked-example", "--profile", "1", "--format", "csv"], "invalid choice: 'csv'"),
+    (["generate", "--seed", "1", "--strict"], "unrecognized arguments: --strict"),
+    (["generate", "--seed", "1", "--rule", "linked"], "unrecognized arguments: --rule"),
+    (["generate", "--seed", "1", "--format", "json"], "unrecognized arguments: --format"),
+    (["generate", "--seed", "1", "--jobs", "2"], "unrecognized arguments: --jobs"),
+]
+
+
+@pytest.mark.parametrize("argv, complaint", REFUSED_FLAGS, ids=[" ".join(argv) for argv, _ in REFUSED_FLAGS])
+def test_a_shared_flag_on_a_command_that_does_not_take_it_is_a_usage_error(capsys, argv, complaint):
+    # the README's "Shared flags" list names the commands that take each flag
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert complaint in capsys.readouterr().err
 
 
 def test_payoffs_rule_override(capsys):
@@ -435,10 +421,10 @@ def _bare_python(probe: str) -> str:
 
 
 def test_import_loads_no_process_pool():
-    # --jobs imports its pool on first use, so no other command pays for
-    # it; the value classes are not dataclasses, so no command pays for
-    # `dataclasses` and its `inspect` chain; documents, CSV, generation
-    # and the stability search import their modules where they run
+    # no command starts a process pool, so none imports one; the value
+    # classes are not dataclasses, so no command pays for `dataclasses`
+    # and its `inspect` chain; documents, CSV, generation and the
+    # stability search import their modules where they run
     probe = (
         "import sys, netform.cli; print(sorted({'concurrent.futures', "
         "'multiprocessing', 'dataclasses', 'inspect', 'json', 'csv', "

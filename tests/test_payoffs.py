@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,9 @@ from netform import (
     restricted_equilibria,
     worked_example,
 )
+from netform import instance_io
 from netform.formation import OfferProfile
+from netform.instance_io import load_instance_file
 from netform.payoffs import (
     _active,
     _table,
@@ -363,3 +367,31 @@ def test_a_table_over_more_networks_than_the_int_digit_limit():
     nets = [Network.from_matrix(random_adjacency(rng, 3, 0.5)) for _ in range(4400)]
     for rule in (MUTUAL, LINKED):
         assert payoff_vectors(inst, nets, rule) == [payoff_vector(inst, g, rule) for g in nets]
+
+
+def test_loading_and_paying_a_large_document_stays_in_bounded_memory(tmp_path, monkeypatch):
+    # 1,024 players, 300 random triples, player 1's star and the empty
+    # network: about 8 MiB of JSON, loaded and paid under both rules;
+    # the peak was 49.1 MiB under CPython 3.10 to 3.13
+    n, rng = 1024, random.Random(20)
+    coalitions = [
+        {"members": [p + 1 for p in rng.sample(range(n), 3)], "income": str(rng.randint(-5, 5))}
+        for _ in range(300)
+    ]
+    hub = [[0] + [1] * (n - 1)] + [[1] + [0] * (n - 1)] * (n - 1)
+    empty = [[0] * n] * n
+    profiles = [{"offers": hub, "acceptances": hub}, {"offers": empty, "acceptances": empty}]
+    doc = {"schema": "game-instance/1", "players": n, "coalitions": coalitions, "profiles": profiles}
+    path = tmp_path / "star1024.json"
+    path.write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
+    monkeypatch.setattr(instance_io, "_kept", ())
+    tracemalloc.start()
+    try:
+        inst = load_instance_file(path)
+        paid = [stored_payoffs(inst, rule) for rule in (MUTUAL, LINKED)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 7 * 2**20 < path.stat().st_size < 9 * 2**20
+    assert [len(vectors) for vectors in paid] == [2, 2]
+    assert peak < 64 * 2**20
