@@ -13,13 +13,20 @@ import argparse
 import functools
 import gc
 import sys
+from itertools import chain
 
-from .compromise import PayoffMatrix, compromise_solution
+from .compromise import PayoffMatrix, _solved, _strings
 from .datasets import BUILTIN, random_instance
 from .formation import form_network
-from .instance_io import load_instance_file, load_network_file, save_instance, validated_warnings
+from .instance_io import (
+    _json_text,
+    load_instance_file,
+    load_network_file,
+    save_instance,
+    validated_warnings,
+)
 from .model import ActivationRule, GameInstance
-from .payoffs import stored_payoffs
+from .payoffs import stored_payoffs, stored_table
 
 # `netform.stability` is imported by the commands that search, `json` and
 # `csv` by the formats that print them: the other commands never load them
@@ -56,9 +63,7 @@ def _emit(fmt: str, record: dict, grid, text) -> None:
     the table text(record).  The record is already 1-based, with every
     fraction a string, so no format converts engine values again."""
     if fmt == "json":
-        import json
-
-        print(json.dumps(record, indent=2))
+        print(_json_text(record))
     elif fmt == "csv":
         import csv
 
@@ -160,13 +165,17 @@ def cmd_payoffs(args) -> int:
     instance = _load(args.instance, args.strict)
     rule = _rule(instance, args)
     _stored(instance)  # refuses an instance without stored profiles
-    vectors = stored_payoffs(instance, rule)
+    table = stored_table(instance, rule)
+    denominator, _ = instance.payoff_index
+    text = _strings(denominator, chain.from_iterable(table)).__getitem__
+    reference = instance.payoff_matrix or ()
+    vectors = stored_payoffs(instance, rule) if reference else ()  # Fractions to compare with it
     record = {
         "rule": rule.value,
-        "payoffs": [[str(v) for v in vec] for vec in vectors],
+        "payoffs": [list(map(text, row)) for row in table],
         "reference_mismatches": [
             {"profile": k + 1, "player": p + 1, "computed": str(value), "reference": str(ref[p])}
-            for k, (vec, ref) in enumerate(zip(vectors, instance.payoff_matrix or ()))
+            for k, (vec, ref) in enumerate(zip(vectors, reference))
             for p, value in enumerate(vec)
             if value != ref[p]
         ],
@@ -275,28 +284,26 @@ def cmd_compromise(args) -> int:
     if args.source == "printed":
         if instance.payoff_matrix is None:
             raise ValueError("instance carries no reference payoff table")
-        rows = instance.payoff_matrix
+        denominator, rows = PayoffMatrix(instance.payoff_matrix)._scaled
     else:
         _stored(instance)
-        rows = stored_payoffs(instance, rule)
-    matrix = PayoffMatrix(rows)
-    report = compromise_solution(matrix, refine_ties=args.refine_ties)
-    shown = (
-        [sorted(row) for row in report.regrets] if args.sorted else report.regrets
-    )
+        denominator, _ = instance.payoff_index
+        rows = stored_table(instance, rule)
+    top, regrets, row_max, value, solutions = _solved(rows, args.refine_ties)
+    text = _strings(denominator, chain(top, chain.from_iterable(regrets))).__getitem__
     record = {
         "source": args.source,
         "rule": rule.value,
-        "ideal": [str(v) for v in report.ideal],
-        "regrets": [[str(v) for v in row] for row in shown],
-        "row_max": [str(v) for v in report.row_max],
-        "value": str(report.value),
-        "solutions": [s + 1 for s in report.solutions],
+        "ideal": list(map(text, top)),
+        "regrets": [list(map(text, sorted(row) if args.sorted else row)) for row in regrets],
+        "row_max": list(map(text, row_max)),
+        "value": text(value),
+        "solutions": [s + 1 for s in solutions],
     }
 
     def grid(r):
-        rows = [row + [top] for row, top in zip(r["regrets"], r["row_max"])]
-        return _profile_grid(rows, matrix.n_players, ("max",))
+        rows = [row + [most] for row, most in zip(r["regrets"], r["row_max"])]
+        return _profile_grid(rows, instance.n, ("max",))
 
     _emit(args.format, record, grid, lambda r: _compromise_text(r, grid(r)))
     return 0
@@ -509,15 +516,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # The cyclic collector is paused while the command runs.  A command
     # builds only acyclic data (the parsed JSON tree, records, ints and
-    # Fractions), which reference counting frees; the garbage it leaves
-    # for the collector is a fixed handful of objects, the encoder
-    # closures of `json.dumps(indent=...)`, the same for a document of
-    # any size.  A command on a file also leaves that file's instance,
-    # with the networks and tables it cached, alive as one of the
-    # loader's last two texts (`load_instance_file`), and it grows with
-    # the document; it is acyclic too, so reference counting frees it
-    # when two newer texts push it out.  Left on, the collector would
-    # scan every list a large document parses into, again and again.
+    # Fractions), which reference counting frees: it leaves the collector
+    # no garbage at all, whatever the document's size (the JSON writer
+    # builds no closures, and the parser leaves no cycle).  A command on
+    # a file also leaves that file's instance, with the networks and
+    # tables it cached, alive as one of the loader's last two texts
+    # (`load_instance_file`), and it grows with the document; it is
+    # acyclic too, so reference counting frees it when two newer texts
+    # push it out.  Left on, the collector would scan every list a large
+    # document parses into, again and again.
     collecting = gc.isenabled()
     gc.disable()
     try:

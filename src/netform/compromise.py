@@ -11,6 +11,12 @@ the tie refinement are exact int arithmetic, and the results are exact
 `Fraction`s.  Each cell is an int as long as L, so a table whose L
 passes MAX_DENOMINATOR_BITS is refused: pairwise-coprime denominators
 would otherwise make every cell as long as all of them together.
+
+Any positive common denominator serves as well as the least one, so a
+table that is already ints over one, like the stored profiles' table
+over the payoff index's denominator, is solved as it is (`_solved`), and
+a value that is printed goes from its int to its string once per
+distinct value (`_strings`), with no `Fraction` kept.
 """
 
 from __future__ import annotations
@@ -101,23 +107,47 @@ def _fractions(denominator: int, values) -> dict[int, Fraction]:
     return {t: Fraction(t, denominator) for t in set(values)}
 
 
-def _regrets(matrix: PayoffMatrix) -> tuple[int, list[int], list[list[int]]]:
-    """L, the ideal (each column's maximum) and each row's regrets
-    against it, all as ints over L."""
-    denominator, rows = matrix._scaled
+def _strings(denominator: int, values) -> dict[int, str]:
+    """Each distinct int value over the denominator as the string of its
+    `Fraction`, built once, as `_fractions` builds the Fractions: a
+    printed table is its values' strings, and the values repeat."""
+    return {t: str(Fraction(t, denominator)) for t in set(values)}
+
+
+def _regrets(rows) -> tuple[list[int], list[list[int]]]:
+    """The ideal (each column's maximum) of int rows over one positive
+    denominator, and each row's regrets against it, over the same one."""
     top = list(map(max, zip(*rows)))
-    return denominator, top, [[t - v for t, v in zip(top, row)] for row in rows]
+    return top, [[t - v for t, v in zip(top, row)] for row in rows]
+
+
+def _solved(rows, refine_ties: bool):
+    """`compromise_solution` on int rows over one positive denominator:
+    the ideal, the regrets, the row maxima and the value, all over that
+    denominator, and the solutions.  Any such denominator gives the same
+    rows, since scaling keeps every order and every tie."""
+    top, regrets = _regrets(rows)
+    row_max = [max(r) for r in regrets]
+    value = min(row_max)
+    solutions = tuple(i for i, m in enumerate(row_max) if m == value)
+    if refine_ties and len(solutions) > 1:
+        keyed = {i: sorted(regrets[i], reverse=True) for i in solutions}
+        best = min(keyed.values())
+        solutions = tuple(i for i in solutions if keyed[i] == best)
+    return top, regrets, row_max, value, solutions
 
 
 def ideal_vector(matrix: PayoffMatrix) -> tuple[Fraction, ...]:
     """Columnwise maximum: the best any row offers each player."""
-    denominator, top, _ = _regrets(matrix)
+    denominator, rows = matrix._scaled
+    top, _ = _regrets(rows)
     return tuple(Fraction(t, denominator) for t in top)
 
 
 def regret_vectors(matrix: PayoffMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """Per-row regrets against the ideal vector, in player order."""
-    denominator, _, regrets = _regrets(matrix)
+    denominator, rows = matrix._scaled
+    _, regrets = _regrets(rows)
     exact = _fractions(denominator, chain.from_iterable(regrets)).__getitem__
     return tuple(tuple(map(exact, r)) for r in regrets)
 
@@ -131,14 +161,8 @@ def compromise_solution(
     sorted descending, keeping only the lexicographically smallest; the
     headline value is unchanged by refinement.
     """
-    denominator, top, regrets = _regrets(matrix)
-    row_max = [max(r) for r in regrets]
-    value = min(row_max)
-    solutions = tuple(i for i, m in enumerate(row_max) if m == value)
-    if refine_ties and len(solutions) > 1:
-        keyed = {i: sorted(regrets[i], reverse=True) for i in solutions}
-        best = min(keyed.values())
-        solutions = tuple(i for i in solutions if keyed[i] == best)
+    denominator, rows = matrix._scaled
+    top, regrets, row_max, value, solutions = _solved(rows, refine_ties)
     exact = _fractions(denominator, chain.from_iterable(regrets)).__getitem__
     return CompromiseReport(
         ideal=tuple(Fraction(t, denominator) for t in top),

@@ -7,6 +7,7 @@ loaded leniently on purpose.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -170,25 +171,31 @@ BUILTIN = {
 MAX_CANDIDATES = 10 ** 6
 
 
-def _combination(index: int, n: int, size: int) -> tuple[int, ...]:
-    """The index-th size-subset of range(n), in `combinations` order."""
+def _running_counts(n: int) -> dict[int, list[int]]:
+    """For each candidate size s and for a = 0..n, comb(n, s) - comb(n - a, s):
+    how many s-subsets of range(n) have their least member below a."""
+    return {s: [comb(n, s) - comb(n - a, s) for a in range(n + 1)] for s in (1, 2, 3)}
+
+
+def _candidate(index: int, counts: dict[int, list[int]]) -> tuple[int, ...]:
+    """Candidate `index` of the pairs, then the triples, of range(n), each
+    in `combinations` order, where counts is `_running_counts(n)`.  The
+    s-subsets of range(low, n) are the last ones in that order, so a
+    rank among them plus counts[s][low] is a rank among all s-subsets,
+    and the least member of the one it names is the last a whose count
+    is at most that rank: one bisect per member."""
+    pairs = counts[2][-1]
+    size, index = (2, index) if index < pairs else (3, index - pairs)
     members = []
     low = 0
     for left in range(size, 0, -1):
-        # skip every subset whose next member is `low`
-        while index >= (skipped := comb(n - low - 1, left - 1)):
-            index -= skipped
-            low += 1
+        below = counts[left]
+        index += below[low]
+        low = bisect_right(below, index) - 1
+        index -= below[low]
         members.append(low)
         low += 1
     return tuple(members)
-
-
-def _candidate(index: int, n: int) -> tuple[int, ...]:
-    """Candidate `index` of the pairs, then the triples, of range(n), each
-    in `combinations` order."""
-    pairs = comb(n, 2)
-    return _combination(index, n, 2) if index < pairs else _combination(index - pairs, n, 3)
 
 
 def random_instance(
@@ -248,7 +255,8 @@ def random_instance(
     else:
         # sample reads only len and indexes, so drawing indices draws the
         # same candidates as sampling their list
-        chosen = [_candidate(k, n) for k in rng.sample(range(total), coalition_count)]
+        counts = _running_counts(n)
+        chosen = [_candidate(k, counts) for k in rng.sample(range(total), coalition_count)]
     coalitions = tuple(
         CoalitionSpec(members, Fraction(rng.randint(lo, hi)))
         for members in chosen

@@ -293,6 +293,48 @@ def _parse_json(text: str, prefix: str = ""):
         raise DocumentError(f"{prefix}not valid JSON: {exc}") from None
 
 
+def _json_text(value) -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, for the values that
+    records and documents hold: dicts with str keys, lists, tuples, str,
+    int, bool and None; any other value raises TypeError.  An indent
+    sends `json.dumps` to its pure-Python encoder; this writer quotes
+    each string with the C encoder's `encode_basestring_ascii`, and
+    writes a list of only strings, or only ints, with one join."""
+    from json.encoder import encode_basestring_ascii  # here, as `_parse_json` imports json
+
+    return _json_write(value, "\n", encode_basestring_ascii)
+
+
+def _json_write(value, indent: str, quoted) -> str:
+    """`_json_text` of a value whose line starts with indent: a newline
+    and two spaces per level of nesting."""
+    kind = type(value)
+    if kind is str:
+        return quoted(value)
+    if kind is int:
+        return str(value)
+    if kind is dict or kind is list or kind is tuple:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = indent + "  "
+        if kind is dict:  # quoted raises TypeError for a key that is not a str
+            items = [f"{quoted(k)}: {_json_write(v, inner, quoted)}" for k, v in value.items()]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            items = map(quoted, value)
+        elif kinds == {int}:
+            items = map(str, value)
+        else:
+            items = [_json_write(v, inner, quoted) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def validated_warnings(instance: GameInstance, strict: bool) -> tuple[str, ...]:
     """An instance's validation warnings, or DocumentError naming every
     error.  Its faults are found once per instance, so calling this
@@ -318,9 +360,7 @@ def load_instance(text: str, strict: bool = False) -> GameInstance:
 
 def save_instance(instance: GameInstance) -> str:
     """Serialize deterministically: same instance, same bytes."""
-    import json
-
-    return json.dumps(instance_to_document(instance), indent=2) + "\n"
+    return _json_text(instance_to_document(instance)) + "\n"
 
 
 def _read_text(path) -> str:

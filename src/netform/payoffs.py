@@ -33,7 +33,8 @@ so every command that pays them in one process reads the same one
 A payoff stays an int numerator over L (`_totals`) through every sum,
 difference and comparison, which is exact because L > 0; only a value
 that leaves the engine becomes a `Fraction`, built once per distinct
-value.
+value, or, when the command line prints the stored table, the string
+that Fraction prints (`compromise._strings`), with no Fraction kept.
 """
 
 from __future__ import annotations

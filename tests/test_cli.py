@@ -14,6 +14,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,8 @@ from netform.formation import OfferProfile
 from netform.instance_io import save_instance
 from netform.model import MAX_PLAYERS, GameInstance
 from netform import random_instance, worked_example
+
+from oracles import RULES, coalition_triples, oracle_compromise, oracle_form, oracle_payoffs
 
 DATA = Path(__file__).parent / "data"
 
@@ -343,6 +346,109 @@ def test_payoff_commands_refuse_an_oversized_payoff_index(capsys, tmp_path, monk
     assert err == "error: coalition pair masks need 2 bits, more than the limit of 1\n"
 
 
+# ---- every printed cell is the oracles' exact value, in every format
+
+FORMATS = ("table", "json", "csv")
+
+
+@st.composite
+def printed_cases(draw):
+    """An instance of 2 to 5 players with 1 to 4 stored profiles, and a
+    reference table of small fractions, or none."""
+    n = draw(st.integers(2, 5))
+    total = n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 6
+    base = random_instance(draw(st.integers(0, 2**16)), n=n, coalition_count=draw(st.integers(0, total)))
+    bits = st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    profiles = tuple(
+        OfferProfile(*([[v * (i != j) for j, v in enumerate(row)] for i, row in enumerate(m)] for m in pair))
+        for pair in draw(st.lists(st.tuples(bits, bits), min_size=1, max_size=4))
+    )
+    cell = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+    reference = draw(st.none() | st.lists(
+        st.lists(cell, min_size=n, max_size=n).map(tuple), min_size=len(profiles), max_size=len(profiles)
+    ).map(tuple))
+    return GameInstance(n, base.coalitions, profiles, reference)
+
+
+def _printed(argv) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def _exact(cells) -> list:
+    """Each printed cell as its Fraction, checking that it is written as
+    `str` of that Fraction writes it."""
+    assert all(str(Fraction(c)) == c for c in cells), cells
+    return [Fraction(c) for c in cells]
+
+
+@pytest.fixture(scope="module")
+def printed_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("printed")
+
+
+def _three_formats(argv) -> tuple[list[str], dict, list[list[str]]]:
+    """argv's table lines, JSON record and CSV rows."""
+    table, record, grid = (_printed([*argv, "--format", fmt]) for fmt in FORMATS)
+    return table.splitlines(), json.loads(record), [line.split(",") for line in grid.splitlines()]
+
+
+def _check_payoffs(path, rule: str, payoffs, reference) -> None:
+    lines, record, grid = _three_formats(["payoffs", str(path), "--rule", rule])
+    assert [_exact(row) for row in record["payoffs"]] == payoffs
+    assert [row[1:] for row in grid[1:]] == record["payoffs"]
+    rows_end = 2 + len(payoffs)
+    assert [line.split()[1:] for line in lines[2:rows_end]] == record["payoffs"]
+    found = record["reference_mismatches"]
+    assert [(m["profile"], m["player"], *_exact([m["computed"], m["reference"]])) for m in found] == [
+        (k + 1, p + 1, value, reference[k][p])
+        for k, row in enumerate(payoffs if reference else ())
+        for p, value in enumerate(row)
+        if value != reference[k][p]
+    ]
+    assert lines[rows_end + 2 :] == [
+        f"  profile {m['profile']} player {m['player']}: computed {m['computed']}, reference {m['reference']}"
+        for m in found
+    ]
+
+
+def _check_compromise(path, source: str, rule: str, flags: list[str], rows) -> None:
+    argv = ["compromise", str(path), "--source", source, "--rule", rule, *flags]
+    lines, record, grid = _three_formats(argv)
+    ideal, regrets, row_max, value, solutions = oracle_compromise(rows, "--refine-ties" in flags)
+    assert _exact(record["ideal"]) == ideal
+    shown = [sorted(row) for row in regrets] if "--sorted" in flags else regrets
+    assert [_exact(row) for row in record["regrets"]] == shown
+    assert (_exact(record["row_max"]), _exact([record["value"]])) == (row_max, [value])
+    assert record["solutions"] == [s + 1 for s in solutions]
+    cells = [row + [most] for row, most in zip(record["regrets"], record["row_max"])]
+    assert [row[1:] for row in grid[1:]] == cells
+    assert lines[2] == "ideal: " + " ".join(record["ideal"])
+    assert [line.split()[1:] for line in lines[4:-2]] == cells
+    assert lines[-2:] == [
+        f"value: {record['value']}",
+        "solutions: " + " ".join(map(str, record["solutions"])),
+    ]
+
+
+@given(instance=printed_cases())
+@settings(max_examples=60, deadline=None)
+def test_printed_cells_are_the_oracles_values_in_every_format(printed_dir, instance):
+    path = printed_dir / "doc.json"
+    path.write_text(save_instance(instance), encoding="utf-8")
+    networks = [oracle_form(p.offers, p.acceptances) for p in instance.profiles]
+    reference = instance.payoff_matrix
+    for rule in RULES:
+        payoffs = [oracle_payoffs(coalition_triples(instance), g, rule) for g in networks]
+        _check_payoffs(path, rule, payoffs, reference)
+        sources = [("computed", payoffs)] + ([("printed", reference)] if reference else [])
+        for source, rows in sources:
+            for flags in ([], ["--sorted"], ["--refine-ties"]):
+                _check_compromise(path, source, rule, flags, rows)
+
+
 def test_check_disjoint_rejects_overlap(capsys):
     code, _, err = run(capsys, "check-disjoint", "worked-example", "--profile", "1")
     assert code == 2
@@ -431,6 +537,17 @@ def test_import_loads_no_process_pool():
         "'pathlib', 'random', 'netform.stability'} & set(sys.modules)))"
     )
     assert _bare_python(probe) == "[]\n"
+
+
+def test_a_table_command_loads_neither_json_nor_csv():
+    # what the import test states for import alone holds for a command
+    # that prints a table: only the formats that need them load them
+    probe = (
+        "import sys, netform.cli as c; "
+        "codes = [c.main(['payoffs', 'worked-example']), c.main(['compromise', 'worked-example'])]; "
+        "print(codes, sorted({'json', 'csv'} & set(sys.modules)))"
+    )
+    assert _bare_python(probe).splitlines()[-1] == "[0, 0] []"
 
 
 def test_import_netform_loads_no_submodule():
@@ -990,7 +1107,10 @@ def test_a_command_leaves_no_garbage_that_grows_with_its_input(tmp_path):
         )
         path = tmp_path / f"inst{count}.json"
         path.write_text(save_instance(GameInstance(10, base.coalitions, profiles)))
-        found.append(_cyclic_garbage(["payoffs", str(path), "--format", "json"]))
+        found.append([
+            _cyclic_garbage(["payoffs", str(path), "--format", "json"]),
+            _cyclic_garbage(["compromise", str(path), "--source", "computed", "--format", "json"]),
+        ])
     assert found[0] == found[1], found
 
 

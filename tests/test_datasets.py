@@ -20,7 +20,7 @@ from netform import (
     random_instance,
     worked_example,
 )
-from netform.datasets import intersecting_example
+from netform.datasets import _candidate, _running_counts, intersecting_example
 from netform.model import validate_instance
 from netform.stability import find_overlapping_pair
 
@@ -202,6 +202,14 @@ def test_generator_draws_match_sampling_the_candidate_list():
                 inst = random_instance(seed=seed, n=n, coalition_count=k)
                 assert [c.members for c in inst.coalitions] == members
                 assert [c.income for c in inst.coalitions] == incomes
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 40])
+def test_a_candidate_is_its_rank_in_the_pairs_then_triples_list(n):
+    # the unranking behind the non-disjoint draws, at every rank
+    candidates = [*combinations(range(n), 2), *combinations(range(n), 3)]
+    counts = _running_counts(n)
+    assert [_candidate(k, counts) for k in range(len(candidates))] == candidates
 
 
 @st.composite

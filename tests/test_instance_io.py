@@ -32,6 +32,7 @@ from netform import formation, instance_io
 from netform.datasets import intersecting_example
 from netform.formation import Network, OfferProfile
 from netform.instance_io import (
+    _json_text,
     instance_to_document,
     load_instance_file,
     load_network_file,
@@ -74,6 +75,62 @@ def test_golden_documents_match_builtins():
     golden = (DATA / "intersecting_example.json").read_text(encoding="utf-8")
     assert load_instance(golden) == intersecting_example()
     assert save_instance(intersecting_example()) == golden
+
+
+# ---- the JSON writer
+
+# strings with quotes, backslashes, control characters, non-ASCII
+# characters and lone surrogates, each of which json escapes its own way
+_JSON_STRINGS = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff') | st.characters(blacklist_categories=()),
+    max_size=6,
+)
+_JSON_INTS = st.integers(-(2**70), 2**70)
+_JSON_SCALARS = st.none() | st.booleans() | _JSON_INTS | _JSON_STRINGS
+
+
+def _json_values(depth: int):
+    """Values up to depth levels of nesting: dicts with str keys, lists
+    and tuples, among them lists of only strings, of only ints and of
+    ints and bools, which the writer joins whole or item by item."""
+    if depth == 0:
+        return _JSON_SCALARS
+    inner = _json_values(depth - 1)
+    return st.one_of(
+        _JSON_SCALARS,
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+        st.lists(_JSON_STRINGS, max_size=4),
+        st.lists(_JSON_INTS, max_size=4),
+        st.lists(_JSON_INTS | st.booleans(), max_size=4),
+    )
+
+
+@given(value=_json_values(4))
+@settings(max_examples=400)
+def test_the_json_writer_matches_json_dumps_with_an_indent(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, [1, 0.5], b"1", {"a": Fraction(1, 2)}, Fraction(1, 2), {1: "a"}, {"a": 1, None: 2}]
+)
+def test_the_json_writer_refuses_any_other_type(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+def test_a_saved_document_is_json_dumps_with_an_indent():
+    # with profiles, a reference table and a rule, which the builtins'
+    # golden documents do not all have
+    for seed in range(10):
+        inst = random_instance(seed=seed, n=3 + seed % 4, coalition_count=seed % 6)
+        full = [[int(i != j) for j in range(inst.n)] for i in range(inst.n)]
+        profiles = (OfferProfile(full, full), OfferProfile(full, [[0] * inst.n] * inst.n))
+        table = tuple(tuple(Fraction(i - j, 1 + seed % 3) for j in range(inst.n)) for i in range(2))
+        inst = GameInstance(inst.n, inst.coalitions, profiles, table, ActivationRule.MUTUAL)
+        assert save_instance(inst) == json.dumps(instance_to_document(inst), indent=2) + "\n"
 
 
 def test_file_round_trip(tmp_path):
